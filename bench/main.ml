@@ -404,7 +404,7 @@ let e25_host =
   ]
 
 (* E26: the fleet substrate's wall-clock face — CoW clone cost and the
-   classic hold-model churn on both scheduler twins (pop the minimum,
+   classic hold-model churn on the calendar queue (pop the minimum,
    reschedule it an exponential step later, dense pending set). *)
 let e26_fleet =
   let golden =
@@ -416,13 +416,10 @@ let e26_fleet =
     (Array.of_list (Sero.Layout.data_blocks_of_line lay 1));
   let hold_rng = Sim.Prng.create 0xE26 in
   let wheel = Sim.Wheel.create () in
-  let heap = Sim.Heap.create () in
   (* 4k live timers, every key within an exponential horizon of now —
      the shape a Des instance actually holds in the dense regime. *)
   for i = 0 to 4095 do
-    let at = Sim.Prng.exponential hold_rng 1.0 in
-    Sim.Wheel.push wheel at i;
-    Sim.Heap.push heap at i
+    Sim.Wheel.push wheel (Sim.Prng.exponential hold_rng 1.0) i
   done;
   [
     Test.make ~name:"e26 clone+park device"
@@ -435,12 +432,6 @@ let e26_fleet =
            let v = Sim.Wheel.min_value wheel in
            Sim.Wheel.drop_min wheel;
            Sim.Wheel.push wheel (k +. Sim.Prng.exponential hold_rng 1.0) v));
-    Test.make ~name:"e26 heap hold (4k pending)"
-      (Staged.stage (fun () ->
-           let k = Sim.Heap.min_key heap in
-           let v = Sim.Heap.min_value heap in
-           Sim.Heap.drop_min heap;
-           Sim.Heap.push heap (k +. Sim.Prng.exponential hold_rng 1.0) v));
   ]
 
 (* E27: one full campaign site per run — the mirror-split cell, which
@@ -609,7 +600,8 @@ let simulated_metrics () =
     ("e25 wfs p99 ratio", qos.Expt.Qos_study.wfs_ratio);
     ("e25 fifo p99 ratio", qos.Expt.Qos_study.fifo_ratio);
     ("e25 rejection pct", qos.Expt.Qos_study.overload_rejection_pct);
-    ("e26 wheel speedup", fleet.Expt.Fleet_study.h_wheel_speedup);
+    ( "e26 wheel sched work",
+      float_of_int fleet.Expt.Fleet_study.h_sched_work );
     ("e26 clone heap kib", fleet.Expt.Fleet_study.h_clone_heap_kib);
     ("e26 clone segments", fleet.Expt.Fleet_study.h_clone_segments);
     ("e26 cow kib per device", fleet.Expt.Fleet_study.h_cow_kib_per_device);
@@ -773,7 +765,6 @@ let compare_baseline ~baseline ~results ~simulated =
                        "e21 read speedup";
                        "e23 detected replicas";
                        "e25 fifo p99 ratio";
-                       "e26 wheel speedup";
                        "e27 starved undetected";
                      ]
               in

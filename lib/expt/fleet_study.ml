@@ -191,24 +191,16 @@ let run_fleet ?(seed = 0xE26) ?(ops = default_ops) n =
     ~f:(fun ~rng i -> run_device ~ops ~rng i)
     ~merge:merge_fleet
 
-(* Dense-event scheduler cell: the same self-rescheduling population is
-   run under both Des schedulers.  The twins fire events in the same
-   order, so the shared PRNG makes identical draws and the two runs
-   schedule identical event sets — only the comparison work differs. *)
+(* Dense-event scheduler cell: a self-rescheduling event population
+   drained by one Des, reporting the wheel's deterministic work. *)
 
-type sched_cell = {
-  s_population : int;
-  s_fired : int;
-  s_heap_work : int;
-  s_wheel_work : int;
-  s_speedup : float;  (* heap work / wheel work; acceptance: >= 3 *)
-}
+type sched_cell = { s_population : int; s_fired : int; s_wheel_work : int }
 
 let default_sched_population = 8192
 let sched_rounds = 3
 
-let run_sched_once ~population sched =
-  let des = Sim.Des.create ~sched () in
+let sched_bench ?(population = default_sched_population) () =
+  let des = Sim.Des.create () in
   let rng = Sim.Prng.create 0x5EED in
   let fired = ref 0 in
   let rec arm ~round ~at =
@@ -221,18 +213,10 @@ let run_sched_once ~population sched =
     arm ~round:0 ~at:(Sim.Prng.uniform rng)
   done;
   Sim.Des.run des;
-  (!fired, Sim.Des.sched_work des)
-
-let sched_bench ?(population = default_sched_population) () =
-  let fired_h, heap = run_sched_once ~population Sim.Des.Binary_heap in
-  let fired_w, wheel = run_sched_once ~population Sim.Des.Timing_wheel in
-  assert (fired_h = fired_w);
   {
     s_population = population;
-    s_fired = fired_w;
-    s_heap_work = heap;
-    s_wheel_work = wheel;
-    s_speedup = float_of_int heap /. float_of_int wheel;
+    s_fired = !fired;
+    s_wheel_work = Sim.Des.sched_work des;
   }
 
 (* Idle-clone footprint cell: OCaml-heap words retained per parked
@@ -277,7 +261,7 @@ type headline = {
   h_tampers : int;
   h_fails : int;
   h_lat_p99_ms : float;
-  h_wheel_speedup : float;
+  h_sched_work : int;
   h_clone_heap_kib : float;
   h_clone_segments : float;
   h_cow_kib_per_device : float;
@@ -291,7 +275,7 @@ let headline_of ~fleet ~sched ~clone =
     h_tampers = fleet.f_tampers;
     h_fails = fleet.f_fails;
     h_lat_p99_ms = p99;
-    h_wheel_speedup = sched.s_speedup;
+    h_sched_work = sched.s_wheel_work;
     h_clone_heap_kib = clone.c_heap_kib;
     h_clone_segments = clone.c_segments;
     h_cow_kib_per_device =
@@ -327,10 +311,8 @@ let print ppf =
     rows;
   let last = List.nth rows (List.length rows - 1) in
   let h = headline_of ~fleet:last ~sched ~clone in
-  Format.fprintf ppf
-    "scheduler: %d dense events — heap %d comparisons, wheel %d (%.1fx less \
-     work)@."
-    sched.s_fired sched.s_heap_work sched.s_wheel_work h.h_wheel_speedup;
+  Format.fprintf ppf "scheduler: %d dense events — wheel %d units of work@."
+    sched.s_fired h.h_sched_work;
   Format.fprintf ppf
     "clones: %.1f KiB OCaml heap and %.2f private segments per idle clone; \
      %.1f KiB@."

@@ -10,9 +10,9 @@
        image running open-loop reads/writes/verifies plus background
        scrub on its own DES clock, parked afterwards; latency quantiles
        merge with {!Sim.Stats.merge_many} in shard order.}
-    {- {e scheduler}: an identical dense self-rescheduling event
-       population run under both {!Sim.Des.sched} twins; the headline
-       is the comparison-work ratio (acceptance: ≥ 3×).}
+    {- {e scheduler}: a dense self-rescheduling event population
+       drained by one {!Sim.Des}; the headline is the wheel's
+       deterministic {!Sim.Des.sched_work}.}
     {- {e clones}: OCaml-heap words retained per idle parked clone
        (acceptance: ≤ 64 KiB) and private CoW segments (0 until
        written).}}
@@ -30,7 +30,7 @@ type fleet = {
   f_devices : int;
   f_ops : int;  (** Operations completed across the fleet. *)
   f_events : int;  (** DES events fired across the fleet. *)
-  f_sched_work : int;  (** Scheduler comparisons across the fleet. *)
+  f_sched_work : int;  (** Scheduler work across the fleet. *)
   f_tampers : int;  (** Tamper verdicts (0 expected). *)
   f_fails : int;  (** Failed reads/writes/verifies (0 expected). *)
   f_scrub_rewrites : int;
@@ -42,17 +42,11 @@ val run_fleet : ?seed:int -> ?ops:int -> int -> fleet
 (** [run_fleet n] simulates [n] cloned devices, fanned out over
     {!Sim.Fleet.map_merge}.  Pure in [(seed, ops, n)]. *)
 
-type sched_cell = {
-  s_population : int;
-  s_fired : int;
-  s_heap_work : int;
-  s_wheel_work : int;
-  s_speedup : float;  (** Heap work / wheel work; acceptance ≥ 3. *)
-}
+type sched_cell = { s_population : int; s_fired : int; s_wheel_work : int }
 
 val sched_bench : ?population:int -> unit -> sched_cell
-(** Dense-event comparison of the two scheduler twins (default
-    population 8192, each event rescheduling itself 3 times). *)
+(** Dense-event scheduler cell (default population 8192, each event
+    rescheduling itself 3 times). *)
 
 type clone_cell = {
   c_clones : int;
@@ -71,7 +65,7 @@ type headline = {
   h_tampers : int;
   h_fails : int;
   h_lat_p99_ms : float;
-  h_wheel_speedup : float;
+  h_sched_work : int;  (** Wheel work on the 8192-event cell. *)
   h_clone_heap_kib : float;
   h_clone_segments : float;
   h_cow_kib_per_device : float;

@@ -14,7 +14,6 @@ let create timing ~pitch ~field_cols =
    clone's private ledger). *)
 let copy t timing = { t with timing }
 
-let position t = t.position
 let travel t = t.travel
 
 let xy_of_offset t off =

@@ -16,9 +16,6 @@ val copy : t -> Timing.t -> t
 (** Same geometry and kinematic state, charging the given (normally
     freshly copied) timing ledger. *)
 
-val position : t -> int
-(** Current scan-order offset under the tips (serpentine row-major). *)
-
 val travel : t -> float
 (** Total distance travelled, m (wear figure). *)
 

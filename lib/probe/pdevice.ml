@@ -80,10 +80,6 @@ let check_run t start len =
   if start < 0 || len < 0 || start + len > size t then
     invalid_arg "Pdevice: run out of range"
 
-let seek_to_dot t dot =
-  let _, offset = Tips.locate t.tips dot in
-  Actuator.seek t.actuator offset
-
 (* How the ledger is charged per scan-offset step of a run. *)
 type charge = Cbits of { read : int; written : int } | Cewb of int
 

@@ -104,9 +104,6 @@ val erb_run_into :
   ?cycles:int -> t -> start:int -> len:int -> dst:bool array -> unit
 (** {!erb_run} into a caller-owned buffer, like {!read_run_into}. *)
 
-val seek_to_dot : t -> int -> unit
-(** Pre-position the sled (exposes seek cost to scheduling studies). *)
-
 val elapsed : t -> float
 val energy : t -> float
 val reset_ledger : t -> unit

@@ -42,7 +42,6 @@ type t = {
   mutable write_absorbed : int;
   mutable invalidations : int;
   mutable bypasses : int;
-  dirty_gauge : Sim.Stats.t;
 }
 
 (* One flush span is one queue request and one sled pass; keep it to a
@@ -195,7 +194,6 @@ let create ?(capacity = 64) ?(read_ahead = 8) ?dirty_high q =
       write_absorbed = 0;
       invalidations = 0;
       bypasses = 0;
-      dirty_gauge = Sim.Stats.create ~name:"dirty ratio" ();
     }
   in
   Device.add_mutation_listener t.dev (fun ~pba ~n ->
@@ -330,7 +328,6 @@ let write_block ?prio ?tenant t ~pba payload =
           let evicted = Sim.Lru.add t.entries pba e in
           t.last <- Some (pba, e);
           t.evictions <- t.evictions + List.length evicted);
-      Sim.Stats.add t.dirty_gauge (dirty_ratio t);
       if t.n_dirty > t.dirty_high then flush ?prio ?tenant t;
       Ok ()
     end
@@ -388,8 +385,6 @@ let stats (t : t) : stats =
 
 let hit_rate (t : t) =
   float_of_int t.hits /. float_of_int (t.hits + t.misses)
-
-let dirty_gauge t = t.dirty_gauge
 
 let pp_stats ppf (t : t) =
   let s = stats t in

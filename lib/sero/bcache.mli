@@ -138,8 +138,4 @@ val hit_rate : t -> float
 val dirty_ratio : t -> float
 (** Dirty blocks over capacity, now. *)
 
-val dirty_gauge : t -> Sim.Stats.t
-(** The dirty ratio sampled at each buffered write — the write-behind
-    pressure profile over the run. *)
-
 val pp_stats : Format.formatter -> t -> unit

@@ -142,15 +142,3 @@ let restore_line t ~line ~ewma ~reads ~retries ~retry_wins ~unreadable
   h.defect_dots <- defect_dots
 
 let set_tip_remaps t n = t.tip_remaps <- n
-
-let pp ppf t =
-  Format.fprintf ppf "health: %d lines, %d tip remaps@." (n_lines t)
-    t.tip_remaps;
-  Array.iteri
-    (fun l h ->
-      Format.fprintf ppf
-        "  line %4d: margin %+.3f ewma %.2f reads %d retries %d (%d won) \
-         unreadable %d defects %d@."
-        l (margin t ~line:l) h.ewma_corrected h.reads h.retries h.retry_wins
-        h.unreadable h.defect_dots)
-    t.lines

@@ -100,4 +100,3 @@ val restore_line :
   unit
 
 val set_tip_remaps : t -> int -> unit
-val pp : Format.formatter -> t -> unit

@@ -1,4 +1,3 @@
-let magic_v3 = "SEROIMG3"
 let magic_v4 = "SEROIMG4"
 
 let write_float = Codec.Binio.W.f64
@@ -105,11 +104,11 @@ let restore_endurance_state r (dev : Device.t) =
   in
   Device.restore_endurance dev ~phys_line ~spare_pool ~migrations ~state
 
-let save ?(format = `V4) (dev : Device.t) path =
+let save (dev : Device.t) path =
   let cfg = Device.config dev in
   let medium = Probe.Pdevice.medium (Device.pdevice dev) in
   let w = Codec.Binio.W.create ~capacity:4096 () in
-  Codec.Binio.W.raw w (match format with `V3 -> magic_v3 | `V4 -> magic_v4);
+  Codec.Binio.W.raw w magic_v4;
   Codec.Binio.W.u32 w cfg.Device.n_blocks;
   Codec.Binio.W.u8 w cfg.Device.line_exp;
   Codec.Binio.W.u16 w cfg.Device.n_tips;
@@ -140,7 +139,7 @@ let save ?(format = `V4) (dev : Device.t) path =
   Codec.Binio.W.u16 w cfg.Device.ras.Device.scrub_threshold;
   (* Endurance lifecycle (since format v4): config, remap table, spare
      pool, health ledger, grown-defect list. *)
-  (match format with `V3 -> () | `V4 -> write_endurance w dev);
+  write_endurance w dev;
   (* Dot states: 2 bits per dot, packed as the oracle sees them.  The
      medium's packed store already holds exactly this encoding (codes
      0/1/2, reserved code 3 unrepresentable), so the states section is
@@ -227,11 +226,7 @@ let load path =
               in
               match
             let m = Codec.Binio.R.raw r (String.length magic_v4) in
-            let version =
-              if String.equal m magic_v3 then `V3
-              else if String.equal m magic_v4 then `V4
-              else failwith "bad magic"
-            in
+            if not (String.equal m magic_v4) then failwith "bad magic";
             let n_blocks = Codec.Binio.R.u32 r in
             let line_exp = Codec.Binio.R.u8 r in
             let n_tips = Codec.Binio.R.u16 r in
@@ -257,11 +252,7 @@ let load path =
             let max_repulses = Codec.Binio.R.u8 r in
             let spare_tips = Codec.Binio.R.u8 r in
             let scrub_threshold = Codec.Binio.R.u16 r in
-            let endurance =
-              match version with
-              | `V3 -> Device.default_endurance
-              | `V4 -> read_endurance_config r
-            in
+            let endurance = read_endurance_config r in
             let config =
               {
                 Device.n_blocks;
@@ -298,9 +289,7 @@ let load path =
               }
             in
             let dev = Device.create config in
-            (match version with
-            | `V3 -> ()
-            | `V4 -> restore_endurance_state r dev);
+            restore_endurance_state r dev;
             let n = Codec.Binio.R.u32 r in
             let plen = Codec.Binio.R.u32 r in
             let medium = Probe.Pdevice.medium (Device.pdevice dev) in

@@ -6,16 +6,14 @@
     The PRNG position and the time/energy ledger are not preserved —
     a reloaded device is "powered on" fresh; its medium is bit-exact. *)
 
-val save : ?format:[ `V3 | `V4 ] -> Device.t -> string -> unit
+val save : Device.t -> string -> unit
 (** [save dev path] writes a [SEROIMG4] image: configuration, the
     endurance lifecycle state (remap table, spare pool, health ledger,
-    grown-defect list, device state) and every dot.  [~format:`V3]
-    writes the legacy [SEROIMG3] layout with no endurance section, for
-    exchange with older tools (lifecycle state is dropped).
+    grown-defect list, device state) and every dot.
     @raise Sys_error on IO failure. *)
 
 val load : string -> (Device.t, string) result
 (** Recreate a device from [path]; the configuration (block count, line
     size, tips, material, costs) is restored from the image header.
-    Both [SEROIMG4] and legacy [SEROIMG3] images load; a v3 image gets
-    {!Device.default_endurance} (lifecycle off). *)
+    Only [SEROIMG4] images load; any other magic, including the retired
+    [SEROIMG3] layout, is [Error "bad magic"]. *)

@@ -126,7 +126,6 @@ let create ?(policy = Probe.Sched.Elevator) ?(coalesce = true) ?(max_span = 8)
 
 let device t = t.dev
 let des t = t.des
-let policy t = t.policy
 let stats_of t = function Foreground -> t.fg | Background -> t.bg
 let set_arbiter t a = t.arbiter <- a
 
@@ -501,11 +500,6 @@ let submit_heat_line t ?(prio = Foreground) ?(tenant = 0) ~line ?timestamp k =
       let r = Device.heat_line t.dev ~line ~timestamp () in
       fun () -> k r)
 
-let submit_erb t ?(prio = Foreground) ?(tenant = 0) ~line k =
-  submit_other t prio tenant (offset_of_line t line) (fun () ->
-      let r = Device.read_hash_block t.dev ~line in
-      fun () -> k r)
-
 let submit_scrub_line t ?(prio = Background) ?config prog ~line k =
   submit_other t prio 0 (offset_of_line t line) (fun () ->
       Scrub.add_remapped prog (Device.service_failed_tips t.dev);
@@ -573,43 +567,34 @@ let drain t =
       failwith "Sero.Queue.drain: pending requests but no scheduled event"
   done
 
-let await t done_flag =
-  while not !done_flag do
+(* The synchronous facade: the caller submits one request whose
+   callback fills [cell]; pump the DES until it has. *)
+let run_sync t cell =
+  while Option.is_none !cell do
     if not (Sim.Des.step t.des) then
       failwith "Sero.Queue: awaited request cannot complete (empty DES)"
-  done
+  done;
+  Option.get !cell
 
 let read_block ?prio ?tenant t ~pba =
-  let cell = ref None and fin = ref false in
-  submit_read t ?prio ?tenant ~pba (fun r ->
-      cell := Some r;
-      fin := true);
-  await t fin;
-  Option.get !cell
+  let cell = ref None in
+  submit_read t ?prio ?tenant ~pba (fun r -> cell := Some r);
+  run_sync t cell
 
 let write_block ?prio ?tenant t ~pba payload =
-  let cell = ref None and fin = ref false in
-  submit_write t ?prio ?tenant ~pba payload (fun r ->
-      cell := Some r;
-      fin := true);
-  await t fin;
-  Option.get !cell
+  let cell = ref None in
+  submit_write t ?prio ?tenant ~pba payload (fun r -> cell := Some r);
+  run_sync t cell
 
 let write_span ?prio ?tenant t ~pba payloads =
-  let cell = ref None and fin = ref false in
-  submit_write_span t ?prio ?tenant ~pba payloads (fun r ->
-      cell := Some r;
-      fin := true);
-  await t fin;
-  Option.get !cell
+  let cell = ref None in
+  submit_write_span t ?prio ?tenant ~pba payloads (fun r -> cell := Some r);
+  run_sync t cell
 
 let heat_line ?tenant t ~line ?timestamp () =
-  let cell = ref None and fin = ref false in
-  submit_heat_line t ?tenant ~line ?timestamp (fun r ->
-      cell := Some r;
-      fin := true);
-  await t fin;
-  Option.get !cell
+  let cell = ref None in
+  submit_heat_line t ?tenant ~line ?timestamp (fun r -> cell := Some r);
+  run_sync t cell
 
 let latency t prio = (stats_of t prio).latency
 let wait t prio = (stats_of t prio).wait

@@ -47,8 +47,6 @@ type prio =
   | Foreground  (** FS and user traffic; always served first. *)
   | Background  (** Scrub and cleaner traffic; fills idle time. *)
 
-val pp_prio : Format.formatter -> prio -> unit
-
 val create :
   ?policy:Probe.Sched.policy ->
   ?coalesce:bool ->
@@ -78,7 +76,6 @@ val create :
 
 val device : t -> Device.t
 val des : t -> Sim.Des.t
-val policy : t -> Probe.Sched.policy
 
 (** {1 Multi-tenant arbitration}
 
@@ -164,20 +161,6 @@ val submit_heat_line :
   unit
 (** [timestamp] defaults to the DES clock at submit time. *)
 
-val submit_erb :
-  t ->
-  ?prio:prio ->
-  ?tenant:int ->
-  line:int ->
-  ([ `Not_heated
-   | `Burned of Device.burned_meta
-   | `Torn of Device.torn
-   | `Tampered of Tamper.evidence list ] ->
-  unit) ->
-  unit
-(** Electrical read of a line's write-once area
-    ({!Device.read_hash_block}) as a queued request. *)
-
 val submit_scrub_line :
   t ->
   ?prio:prio ->
@@ -241,15 +224,10 @@ val schedule_migration :
 
 (** {1 Pumping} *)
 
-val idle : t -> bool
-(** No request pending or in flight. *)
-
-val pending : t -> int
-(** Requests waiting (not counting the group in service). *)
-
 val drain : t -> unit
-(** Step the DES until the queue is {!idle} — note this also fires any
-    unrelated events scheduled on the same DES that come due. *)
+(** Step the DES until no request is pending or in flight — note this
+    also fires any unrelated events scheduled on the same DES that come
+    due. *)
 
 (** {1 Synchronous facade}
 

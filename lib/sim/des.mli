@@ -8,28 +8,12 @@
     the order they were scheduled (FIFO), so traces are reproducible
     even when submissions and completions coincide on the clock.
 
-    Two interchangeable schedulers implement that contract: the stable
-    binary {!Heap} (O(log n) per op) and the calendar-queue {!Wheel}
-    (O(1) amortised in the dense-event regime).  They realise the same
-    [(timestamp, schedule order)] total order, so every trace is
-    bit-identical under either — the knob only changes cost, never
-    behaviour.  The wheel is the default; select per-queue with
-    [create ~sched] or process-wide with {!set_default_sched} / the
-    [SERO_SCHED] environment variable ("heap" or "wheel"). *)
+    The queue behind the clock is the calendar-queue {!Wheel}
+    (Brown 1988), O(1) amortised per event in the dense regime. *)
 
 type t
 
-type sched = Binary_heap | Timing_wheel
-
-val set_default_sched : sched -> unit
-val default_sched : unit -> sched
-(** Process-wide default used when [create] is not given [~sched].
-    Initialised from [SERO_SCHED] if set, else {!Timing_wheel}. *)
-
-val create : ?sched:sched -> unit -> t
-
-val sched : t -> sched
-(** Which scheduler backs this queue. *)
+val create : unit -> t
 
 val now : t -> float
 (** Current simulated time in seconds. *)
@@ -52,6 +36,6 @@ val step : t -> bool
 val pending : t -> int
 
 val sched_work : t -> int
-(** Deterministic effort counter of the backing scheduler (comparisons
-    for the heap, scan/insert hops for the wheel) — the byte-stable
-    basis for the wheel-vs-heap bench gate. *)
+(** Deterministic effort counter of the backing {!Wheel} (bucket-scan
+    steps plus sorted-insert hops) — the byte-stable basis for the E26
+    scheduler bench gate. *)

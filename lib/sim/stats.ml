@@ -23,8 +23,6 @@ let create ?(name = "") () =
     sorted = None;
   }
 
-let name t = t.name
-
 let add t x =
   t.n <- t.n + 1;
   t.total <- t.total +. x;
@@ -147,12 +145,6 @@ let merge_many ?name ts =
   out
 
 let merge a b = merge_many ~name:a.name [ a; b ]
-
-let pp ppf t =
-  Format.fprintf ppf
-    "%s: n=%d mean=%.4g sd=%.4g min=%.4g p50=%.4g p99=%.4g max=%.4g" t.name
-    t.n (mean t) (stddev t) (min_value t) (percentile t 0.5)
-    (percentile t 0.99) (max_value t)
 
 module Histogram = struct
   type h = { lo : float; hi : float; bins : int array }

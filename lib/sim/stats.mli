@@ -5,7 +5,6 @@
 type t
 
 val create : ?name:string -> unit -> t
-val name : t -> string
 val add : t -> float -> unit
 val count : t -> int
 val total : t -> float
@@ -46,9 +45,6 @@ val merge_many : ?name:string -> t list -> t
     the result is a pure function of the shard sequence — byte-identical
     for any worker count — and its quantile cache is already warm.
     [name] defaults to the first counter's name ("" when empty). *)
-
-val pp : Format.formatter -> t -> unit
-(** One-line summary: n, mean, sd, min, p50, p99, max. *)
 
 (** Simple fixed-width histogram for utilisation plots. *)
 module Histogram : sig

@@ -1,17 +1,15 @@
-(* A calendar queue (Brown 1988): the O(1)-amortised scheduler twin of
-   {!Heap} for the dense-event regime.  Buckets partition the key axis
-   into windows of [width]; an event lands in bucket
+(* A calendar queue (Brown 1988): the O(1)-amortised event scheduler
+   behind {!Des}.  Buckets partition the key axis into windows of [width]; an event lands in bucket
    [floor (key / width) mod nbuckets], and a cursor sweeps the buckets
    in "calendar year" order, so in the steady state (about one pending
    event per bucket) both enqueue and dequeue touch O(1) entries where
    a binary heap pays O(log n) comparisons.
 
-   Stability contract: entries carry the same monotonic insertion stamp
-   as {!Heap} and every bucket list is kept sorted by the lexicographic
-   [(key, stamp)] order.  Equal keys always hash to the same bucket, so
-   the pop sequence realises exactly the same total order as the heap —
-   the two structures are bit-identical twins, which is what lets
-   {!Des} switch between them behind a knob. *)
+   Stability contract: entries carry a monotonic insertion stamp and
+   every bucket list is kept sorted by the lexicographic [(key, stamp)]
+   order.  Equal keys always hash to the same bucket, so the pop
+   sequence realises that total order exactly — equal keys pop in push
+   order, which is what makes {!Des} fire equal-timestamp events FIFO. *)
 
 type 'a entry = { ekey : float; estamp : int; eval : 'a }
 
@@ -139,7 +137,7 @@ let resize t nb' =
    or an incompressible distribution, leave it alone.  The gate spaces
    the O(n) spread scans at least [size] stamps apart, so skew checks
    stay amortised O(1), and every trigger is a pure function of the
-   queue's content — the twin contract with {!Heap} is untouched. *)
+   queue's content — the pop order is untouched. *)
 let skew_limit = 24
 
 let rewidth t =

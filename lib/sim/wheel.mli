@@ -1,11 +1,10 @@
-(** Calendar-queue event scheduler — the O(1)-amortised twin of {!Heap}.
+(** Calendar-queue event scheduler (Brown 1988), O(1) amortised.
 
     Buckets partition the key axis into fixed-width windows and a cursor
     sweeps them in calendar order, so in the dense steady state both
-    push and pop touch O(1) entries.  The structure realises exactly the
-    same lexicographic [(key, insertion stamp)] total order as {!Heap}
-    (equal keys pop in push order), so {!Des} can switch between the two
-    behind a knob with bit-identical event traces. *)
+    push and pop touch O(1) entries.  Entries pop in the lexicographic
+    [(key, insertion stamp)] total order (equal keys pop in push order),
+    which {!Des} relies on for FIFO ties. *)
 
 type 'a t
 
@@ -37,5 +36,5 @@ val clear : 'a t -> unit
 
 val work : 'a t -> int
 (** Deterministic effort counter: bucket-scan steps plus sorted-insert
-    hops since creation.  Comparable against {!Heap.work} to gate the
-    wheel-vs-heap win byte-stably (wall clock is only informational). *)
+    hops since creation.  The E26 bench gate watches it because it is
+    byte-stable where wall clock is only informational. *)

@@ -478,21 +478,26 @@ let image_cases =
             | Error e -> Alcotest.(check string) "short" "image too short" e
             | Ok _ -> Alcotest.fail "8-byte image accepted");
             (* A wrong magic under a *valid* CRC must fail the parse,
-               not the checksum. *)
-            let b = Bytes.of_string data in
-            Bytes.blit_string "XXROIMG9" 0 b 0 8;
-            let body = Bytes.sub_string b 0 (Bytes.length b - 4) in
-            let crc = Int32.to_int (Codec.Crc32.string body) land 0xFFFFFFFF in
-            let tl = Bytes.length b - 4 in
-            Bytes.set b tl (Char.chr ((crc lsr 24) land 0xFF));
-            Bytes.set b (tl + 1) (Char.chr ((crc lsr 16) land 0xFF));
-            Bytes.set b (tl + 2) (Char.chr ((crc lsr 8) land 0xFF));
-            Bytes.set b (tl + 3) (Char.chr (crc land 0xFF));
-            Out_channel.with_open_bin path (fun oc ->
-                Out_channel.output_bytes oc b);
-            match Sero.Image.load path with
-            | Error e -> Alcotest.(check string) "magic" "bad magic" e
-            | Ok _ -> Alcotest.fail "bad magic accepted"));
+               not the checksum — the retired SEROIMG3 layout included. *)
+            List.iter
+              (fun magic ->
+                let b = Bytes.of_string data in
+                Bytes.blit_string magic 0 b 0 8;
+                let body = Bytes.sub_string b 0 (Bytes.length b - 4) in
+                let crc =
+                  Int32.to_int (Codec.Crc32.string body) land 0xFFFFFFFF
+                in
+                let tl = Bytes.length b - 4 in
+                Bytes.set b tl (Char.chr ((crc lsr 24) land 0xFF));
+                Bytes.set b (tl + 1) (Char.chr ((crc lsr 16) land 0xFF));
+                Bytes.set b (tl + 2) (Char.chr ((crc lsr 8) land 0xFF));
+                Bytes.set b (tl + 3) (Char.chr (crc land 0xFF));
+                Out_channel.with_open_bin path (fun oc ->
+                    Out_channel.output_bytes oc b);
+                match Sero.Image.load path with
+                | Error e -> Alcotest.(check string) magic "bad magic" e
+                | Ok _ -> Alcotest.failf "%s image accepted" magic)
+              [ "XXROIMG9"; "SEROIMG3" ]));
   ]
   @
   (* A ≥64k-line geometry exercises the O(chunk) streaming paths at
@@ -1252,26 +1257,6 @@ let endurance_cases =
                     Alcotest.failf "expected 1 migration, got %d"
                       (List.length ms));
                 Alcotest.(check bool) "still intact" true
-                  (Sero.Tamper.equal_verdict
-                     (Sero.Device.verify_line dev2 ~line:2)
-                     Sero.Tamper.Intact)));
-    Alcotest.test_case "v3 images still load (endurance defaults off)" `Quick
-      (fun () ->
-        let dev = make_dev () in
-        fill_line dev 2;
-        ignore (heat_ok dev 2);
-        let path = Filename.temp_file "sero" ".img" in
-        Fun.protect
-          ~finally:(fun () -> Sys.remove path)
-          (fun () ->
-            Sero.Image.save ~format:`V3 dev path;
-            match Sero.Image.load path with
-            | Error e -> Alcotest.failf "load v3: %s" e
-            | Ok dev2 ->
-                Alcotest.(check int) "no spares" 0 (Sero.Device.spares_left dev2);
-                Alcotest.(check bool) "lifecycle off" true
-                  (Sero.Device.device_state dev2 = Sero.Device.Healthy);
-                Alcotest.(check bool) "intact" true
                   (Sero.Tamper.equal_verdict
                      (Sero.Device.verify_line dev2 ~line:2)
                      Sero.Tamper.Intact)));

@@ -1,4 +1,4 @@
-(* The simulation substrate: PRNG, statistics, heap, event kernel. *)
+(* The simulation substrate: PRNG, statistics, calendar queue, event kernel. *)
 
 let qtest = QCheck_alcotest.to_alcotest
 
@@ -149,87 +149,33 @@ let quantiles_match_percentile =
       q50 = Sim.Stats.p50 st && q95 = Sim.Stats.p95 st
       && q99 = Sim.Stats.p99 st)
 
-(* {1 Heap} *)
+(* {1 Reference scheduler}
 
-let heap_sorts =
-  QCheck.Test.make ~name:"heap pops in key order" ~count:200
-    QCheck.(small_list (float_range (-1000.) 1000.))
-    (fun keys ->
-      let h = Sim.Heap.create () in
-      List.iteri (fun i k -> Sim.Heap.push h k i) keys;
-      let rec drain acc =
-        match Sim.Heap.pop h with
-        | None -> List.rev acc
-        | Some (k, _) -> drain (k :: acc)
-      in
-      let popped = drain [] in
-      popped = List.sort compare keys)
+   The oracle the wheel is checked against: a plain list kept sorted by
+   (key, insertion stamp).  Stamps only grow, so inserting after every
+   entry with an equal-or-smaller key makes equal keys pop in push
+   order. *)
 
-let heap_stable =
-  (* Push (key, seq) pairs; among equal keys the pop order must be the
-     push order — {!Sim.Des} relies on this for FIFO ties. *)
-  QCheck.Test.make ~name:"equal keys pop in push order" ~count:300
-    QCheck.(small_list (int_range 0 3))
-    (fun keys ->
-      let h = Sim.Heap.create () in
-      List.iteri (fun i k -> Sim.Heap.push h (float_of_int k) (k, i)) keys;
-      let rec drain acc =
-        match Sim.Heap.pop h with
-        | None -> List.rev acc
-        | Some (_, v) -> drain (v :: acc)
-      in
-      let popped = drain [] in
-      let stable =
-        List.stable_sort
-          (fun (a, _) (b, _) -> compare a b)
-          (List.mapi (fun i k -> (k, i)) keys)
-      in
-      popped = stable)
+module Oracle = struct
+  type 'a t = { mutable items : (float * int * 'a) list; mutable stamp : int }
 
-let heap_cases =
-  [
-    Alcotest.test_case "peek does not remove" `Quick (fun () ->
-        let h = Sim.Heap.create () in
-        Sim.Heap.push h 2. "b";
-        Sim.Heap.push h 1. "a";
-        Alcotest.(check (option (pair (float 0.) string))) "peek" (Some (1., "a")) (Sim.Heap.peek h);
-        Alcotest.(check int) "size" 2 (Sim.Heap.size h);
-        Alcotest.(check (option (pair (float 0.) string))) "pop" (Some (1., "a")) (Sim.Heap.pop h);
-        Alcotest.(check int) "size after" 1 (Sim.Heap.size h));
-    Alcotest.test_case "clear empties" `Quick (fun () ->
-        let h = Sim.Heap.create () in
-        for i = 1 to 20 do
-          Sim.Heap.push h (float_of_int i) i
-        done;
-        Sim.Heap.clear h;
-        Alcotest.(check bool) "empty" true (Sim.Heap.is_empty h));
-    Alcotest.test_case "clear and trim shed capacity" `Quick (fun () ->
-        let h = Sim.Heap.create () in
-        for i = 1 to 1000 do
-          Sim.Heap.push h (float_of_int i) i
-        done;
-        Alcotest.(check bool) "grew" true (Sim.Heap.capacity h >= 1000);
-        for _ = 1 to 990 do
-          Sim.Heap.drop_min h
-        done;
-        Sim.Heap.trim h;
-        Alcotest.(check int) "snug" 16 (Sim.Heap.capacity h);
-        Alcotest.(check int) "kept" 10 (Sim.Heap.size h);
-        Alcotest.(check (float 0.)) "min survives trim" 991. (Sim.Heap.min_key h);
-        Sim.Heap.clear h;
-        Alcotest.(check int) "initial" 16 (Sim.Heap.capacity h));
-    Alcotest.test_case "min_key/min_value/drop_min match pop" `Quick (fun () ->
-        let h = Sim.Heap.create () in
-        List.iteri (fun i k -> Sim.Heap.push h k i) [ 3.; 1.; 2.; 1. ];
-        Alcotest.(check (float 0.)) "min key" 1. (Sim.Heap.min_key h);
-        Alcotest.(check int) "min value" 1 (Sim.Heap.min_value h);
-        Sim.Heap.drop_min h;
-        Alcotest.(check int) "fifo tie next" 3 (Sim.Heap.min_value h);
-        Alcotest.check_raises "empty min" (Invalid_argument "Heap.min_key: empty heap")
-          (fun () ->
-            Sim.Heap.clear h;
-            ignore (Sim.Heap.min_key h)));
-  ]
+  let create () = { items = []; stamp = 0 }
+
+  let push t k v =
+    let rec insert = function
+      | ((k', _, _) as e) :: rest when k' <= k -> e :: insert rest
+      | rest -> (k, t.stamp, v) :: rest
+    in
+    t.items <- insert t.items;
+    t.stamp <- t.stamp + 1
+
+  let pop t =
+    match t.items with
+    | [] -> None
+    | (k, _, v) :: rest ->
+        t.items <- rest;
+        Some (k, v)
+end
 
 (* {1 Calendar queue (Wheel)} *)
 
@@ -239,9 +185,9 @@ let drain_wheel w =
   in
   go []
 
-let drain_heap h =
+let drain_oracle o =
   let rec go acc =
-    match Sim.Heap.pop h with None -> List.rev acc | Some kv -> go (kv :: acc)
+    match Oracle.pop o with None -> List.rev acc | Some kv -> go (kv :: acc)
   in
   go []
 
@@ -260,27 +206,27 @@ let wheel_sorts =
       List.iteri (fun i k -> Sim.Wheel.push w k i) keys;
       List.map fst (drain_wheel w) = List.sort compare keys)
 
-let wheel_matches_heap =
+let wheel_matches_oracle =
   QCheck.Test.make
-    ~name:"wheel and heap drain identically (FIFO ties included)" ~count:300
+    ~name:"wheel and oracle drain identically (FIFO ties included)" ~count:300
     tie_keys
     (fun keys ->
-      let w = Sim.Wheel.create () and h = Sim.Heap.create () in
+      let w = Sim.Wheel.create () and o = Oracle.create () in
       List.iteri
         (fun i k ->
           Sim.Wheel.push w k i;
-          Sim.Heap.push h k i)
+          Oracle.push o k i)
         keys;
-      drain_wheel w = drain_heap h)
+      drain_wheel w = drain_oracle o)
 
-let wheel_matches_heap_interleaved =
+let wheel_matches_oracle_interleaved =
   (* Random push/pop interleavings hit the cursor reset and halving
      paths that a pure push-then-drain run never sees. *)
-  QCheck.Test.make ~name:"wheel == heap under push/pop interleavings"
+  QCheck.Test.make ~name:"wheel == oracle under push/pop interleavings"
     ~count:200
     QCheck.(list (option (pair (int_range (-40) 40) (int_range 1 3))))
     (fun script ->
-      let w = Sim.Wheel.create () and h = Sim.Heap.create () in
+      let w = Sim.Wheel.create () and o = Oracle.create () in
       let i = ref 0 in
       List.for_all
         (fun op ->
@@ -290,12 +236,12 @@ let wheel_matches_heap_interleaved =
               for _ = 1 to times do
                 incr i;
                 Sim.Wheel.push w key !i;
-                Sim.Heap.push h key !i
+                Oracle.push o key !i
               done;
               true
-          | None -> Sim.Wheel.pop w = Sim.Heap.pop h)
+          | None -> Sim.Wheel.pop w = Oracle.pop o)
         script
-      && drain_wheel w = drain_heap h)
+      && drain_wheel w = drain_oracle o)
 
 let wheel_cases =
   [
@@ -357,30 +303,24 @@ let wheel_cases =
       (fun () ->
         (* The headline O(1) claim on the hold model: 4k live timers
            (every key within an exponential horizon of now), pop-min /
-           push-later churn; steady-state comparison counts must
-           separate by at least the E26 acceptance factor of 3. *)
-        let w = Sim.Wheel.create () and h = Sim.Heap.create () in
-        let rng_w = Sim.Prng.create 13 and rng_h = Sim.Prng.create 13 in
+           push-later churn.  A binary heap spends 454,252 comparisons
+           on this exact script; the wheel must stay within a third of
+           that, the E26 acceptance factor of 3. *)
+        let w = Sim.Wheel.create () in
+        let rng = Sim.Prng.create 13 in
         for i = 0 to 4_095 do
-          Sim.Wheel.push w (Sim.Prng.exponential rng_w 1.0) i;
-          Sim.Heap.push h (Sim.Prng.exponential rng_h 1.0) i
+          Sim.Wheel.push w (Sim.Prng.exponential rng 1.0) i
         done;
-        let w0 = Sim.Wheel.work w and h0 = Sim.Heap.work h in
+        let w0 = Sim.Wheel.work w in
         for _ = 1 to 20_000 do
           let k = Sim.Wheel.min_key w and v = Sim.Wheel.min_value w in
           Sim.Wheel.drop_min w;
-          Sim.Wheel.push w (k +. Sim.Prng.exponential rng_w 1.0) v;
-          let k = Sim.Heap.min_key h and v = Sim.Heap.min_value h in
-          Sim.Heap.drop_min h;
-          Sim.Heap.push h (k +. Sim.Prng.exponential rng_h 1.0) v
+          Sim.Wheel.push w (k +. Sim.Prng.exponential rng 1.0) v
         done;
-        let ratio =
-          float_of_int (Sim.Heap.work h - h0)
-          /. float_of_int (Sim.Wheel.work w - w0)
-        in
+        let work = Sim.Wheel.work w - w0 in
         Alcotest.(check bool)
-          (Printf.sprintf "heap/wheel work ratio %.1f >= 3" ratio)
-          true (ratio >= 3.));
+          (Printf.sprintf "wheel work %d <= 151417" work)
+          true (work <= 151_417));
   ]
 
 (* {1 DES kernel} *)
@@ -663,47 +603,68 @@ let pool_matches_list_map =
       Sim.Pool.parallel_map ~jobs (fun x -> (x * 7) - 1) xs
       = List.map (fun x -> (x * 7) - 1) xs)
 
-(* {1 Scheduler twins} *)
+(* {1 Des against a reference DES} *)
 
-(* The same scheduling script must produce the same event log under both
-   Des back-ends — the wheel is an equivalence twin of the heap, not an
-   approximation of it. *)
-let des_twins_agree =
-  QCheck.Test.make ~name:"Des event logs identical under heap and wheel"
-    ~count:200
+(* The same clock discipline as {!Sim.Des}, over the list oracle. *)
+module Oracle_des = struct
+  type t = { mutable clock : float; q : (t -> unit) Oracle.t }
+
+  let create () = { clock = 0.; q = Oracle.create () }
+  let now t = t.clock
+  let schedule_at t ~at f = Oracle.push t.q at f
+  let schedule t ~delay f = schedule_at t ~at:(t.clock +. delay) f
+
+  let rec run t =
+    match Oracle.pop t.q with
+    | None -> ()
+    | Some (at, f) ->
+        t.clock <- at;
+        f t;
+        run t
+end
+
+module type DES = sig
+  type t
+
+  val create : unit -> t
+  val now : t -> float
+  val schedule : t -> delay:float -> (t -> unit) -> unit
+  val schedule_at : t -> at:float -> (t -> unit) -> unit
+  val run : t -> unit
+end
+
+let des_log (module D : DES) script =
+  let des = D.create () in
+  let log = ref [] in
+  List.iteri
+    (fun tag (at, respawn) ->
+      D.schedule_at des ~at:(float_of_int at /. 2.) (fun t ->
+          log := (tag, D.now t) :: !log;
+          (* Handlers reschedule themselves a little later, so ties
+             created at run time are compared too. *)
+          for k = 1 to respawn do
+            D.schedule t ~delay:(float_of_int k /. 4.) (fun t ->
+                log := (100 + tag, D.now t) :: !log)
+          done))
+    script;
+  D.run des;
+  List.rev !log
+
+let des_matches_oracle =
+  QCheck.Test.make ~name:"Des event logs match the reference DES" ~count:200
     QCheck.(list (pair (int_range 0 20) (int_range 0 2)))
     (fun script ->
-      let run sched =
-        let des = Sim.Des.create ~sched () in
-        let log = ref [] in
-        List.iteri
-          (fun tag (at, respawn) ->
-            Sim.Des.schedule_at des ~at:(float_of_int at /. 2.) (fun t ->
-                log := (tag, Sim.Des.now t) :: !log;
-                (* Handlers reschedule themselves a little later, so
-                   ties created at run time are compared too. *)
-                for k = 1 to respawn do
-                  Sim.Des.schedule t ~delay:(float_of_int k /. 4.) (fun t ->
-                      log := (100 + tag, Sim.Des.now t) :: !log)
-                done))
-          script;
-        Sim.Des.run des;
-        List.rev !log
-      in
-      run Sim.Des.Binary_heap = run Sim.Des.Timing_wheel)
+      des_log
+        (module struct
+          include Sim.Des
+
+          let run t = run t
+        end)
+        script
+      = des_log (module Oracle_des) script)
 
 let sched_cases =
   [
-    Alcotest.test_case "SERO_SCHED-independent default is settable" `Quick
-      (fun () ->
-        let saved = Sim.Des.default_sched () in
-        Sim.Des.set_default_sched Sim.Des.Binary_heap;
-        Alcotest.(check bool) "heap default" true
-          (Sim.Des.sched (Sim.Des.create ()) = Sim.Des.Binary_heap);
-        Sim.Des.set_default_sched Sim.Des.Timing_wheel;
-        Alcotest.(check bool) "wheel default" true
-          (Sim.Des.sched (Sim.Des.create ()) = Sim.Des.Timing_wheel);
-        Sim.Des.set_default_sched saved);
     Alcotest.test_case "sched_work counts scheduler comparisons" `Quick
       (fun () ->
         let des = Sim.Des.create () in
@@ -915,15 +876,14 @@ let () =
            qtest quantiles_match_percentile;
            qtest stats_merge_associative;
          ]);
-      ("heap", heap_cases @ [ qtest heap_sorts; qtest heap_stable ]);
       ("wheel",
        wheel_cases
        @ [
            qtest wheel_sorts;
-           qtest wheel_matches_heap;
-           qtest wheel_matches_heap_interleaved;
+           qtest wheel_matches_oracle;
+           qtest wheel_matches_oracle_interleaved;
          ]);
-      ("des", des_cases @ sched_cases @ [ qtest des_twins_agree ]);
+      ("des", des_cases @ sched_cases @ [ qtest des_matches_oracle ]);
       ("lru", lru_cases @ [ qtest lru_matches_model ]);
       ("pool", pool_cases @ [ qtest pool_matches_list_map ]);
       ("fleet", fleet_cases @ [ qtest fleet_jobs_invariant ]);
