@@ -38,7 +38,7 @@ let default_config ?(slots = 4) ?(replication = 2) ?(spares = 1)
 type entry = {
   e_dev : Sero.Device.t;
   e_q : Sero.Queue.t;
-  e_bc : Sero.Bcache.t option;
+  e_io : Sero.Blockio.t;
   mutable e_inj : Fault.Injector.t option;
 }
 
@@ -109,11 +109,12 @@ let wrap_device cfg dev =
       ~read_retry_limit:cfg.read_retry_limit ~retry_backoff:cfg.retry_backoff
       des dev
   in
-  let bc =
-    Option.map (fun capacity -> Sero.Bcache.create ~capacity q)
-      cfg.cache_capacity
+  let io =
+    match cfg.cache_capacity with
+    | Some capacity -> Sero.Blockio.Cache (Sero.Bcache.create ~capacity q)
+    | None -> Sero.Blockio.Queue q
   in
-  { e_dev = dev; e_q = q; e_bc = bc; e_inj = None }
+  { e_dev = dev; e_q = q; e_io = io; e_inj = None }
 
 let make_map cfg lay =
   Amap.create ~slots:cfg.slots ~replication:cfg.replication
@@ -380,35 +381,23 @@ let fault_ledger v =
 (* ------------------------------------------------------------------ *)
 (* Member IO plumbing                                                  *)
 
-let entry_read ?(tenant = 0) v ~dev ~prio ~pba =
+let entry_read ?tenant v ~dev ~prio ~pba =
   check_dev v dev;
-  let e = v.members.(dev) in
-  match e.e_bc with
-  | Some bc -> Sero.Bcache.read_block ~prio ~tenant bc ~pba
-  | None -> Sero.Queue.read_block ~prio ~tenant e.e_q ~pba
+  Sero.Blockio.read ~prio ?tenant v.members.(dev).e_io ~pba
 
-let entry_write ?(tenant = 0) v ~dev ~prio ~pba payload =
-  let e = v.members.(dev) in
-  match e.e_bc with
-  | Some bc -> Sero.Bcache.write_block ~prio ~tenant bc ~pba payload
-  | None -> Sero.Queue.write_block ~prio ~tenant e.e_q ~pba payload
+let entry_write ?tenant v ~dev ~prio ~pba payload =
+  Sero.Blockio.write ~prio ?tenant v.members.(dev).e_io ~pba payload
 
 let entry_verify v ~dev ~line =
   check_dev v dev;
-  let e = v.members.(dev) in
-  match e.e_bc with
-  | Some bc -> Sero.Bcache.verify_line bc ~line
-  | None -> Sero.Device.verify_line e.e_dev ~line
+  Sero.Blockio.verify v.members.(dev).e_io ~line
 
 let entry_write_span ?(tenant = 0) v ~dev ~prio ~pba payloads =
   check_dev v dev;
   Sero.Queue.write_span ~prio ~tenant v.members.(dev).e_q ~pba payloads
 
-let entry_heat ?(tenant = 0) v ~dev ~line ~timestamp =
-  let e = v.members.(dev) in
-  match e.e_bc with
-  | Some bc -> Sero.Bcache.heat_line ~tenant bc ~line ~timestamp ()
-  | None -> Sero.Queue.heat_line ~tenant e.e_q ~line ~timestamp ()
+let entry_heat ?tenant v ~dev ~line ~timestamp =
+  Sero.Blockio.heat ?tenant v.members.(dev).e_io ~line ~timestamp
 
 (* ------------------------------------------------------------------ *)
 (* Volume IO                                                           *)
@@ -581,7 +570,7 @@ let is_line_heated v ~line =
 let flush v =
   Array.iter
     (fun e ->
-      (match e.e_bc with Some bc -> Sero.Bcache.sync bc | None -> ());
+      Sero.Blockio.sync e.e_io;
       Sero.Queue.drain e.e_q)
     v.members
 

@@ -2,7 +2,8 @@
 
     Each member is a full per-device stack — its own {!Sero.Device}
     (with RAS and endurance lifecycle), its own DES clock and
-    {!Sero.Queue} request pipeline, optionally its own {!Sero.Bcache} —
+    {!Sero.Queue} request pipeline, optionally its own {!Sero.Bcache},
+    reached through one {!Sero.Blockio} port chosen at construction —
     so a volume is a fleet in miniature, not one device with N platters.
     The volume adds what no single device can give:
 
@@ -43,7 +44,10 @@ type config = {
   policy : Probe.Sched.policy;
   read_retry_limit : int;
   retry_backoff : float;
-  cache_capacity : int option;  (** Per-member bcache; [None] = uncached. *)
+  cache_capacity : int option;
+      (** Per-member {!Sero.Bcache} capacity: [Some n] makes the
+          member's {!Sero.Blockio} port a cache over its queue, [None]
+          the bare queue. *)
 }
 
 val default_config :
@@ -199,7 +203,8 @@ val is_line_heated : t -> line:int -> bool
 (** True if any serving replica has the line heated. *)
 
 val flush : t -> unit
-(** Flush every member's cache (if any) and drain every member queue. *)
+(** {!Sero.Blockio.sync} every member's port (flushing its cache, if
+    any) and drain every member queue. *)
 
 (** {1 Fault plans} *)
 
@@ -257,13 +262,14 @@ val entry_read :
   prio:Sero.Queue.prio ->
   pba:int ->
   (string, Sero.Device.read_error) result
-(** Read through the member's cache/queue stack without ticking the
+(** Read through the member's {!Sero.Blockio} port without ticking the
     volume op counter (rebuild source traffic).  [tenant] (default [0])
     tags the member-queue request for fair-share accounting. *)
 
 val entry_verify : t -> dev:int -> line:int -> Sero.Tamper.verdict
-(** {!Sero.Device.verify_line} on a member's {e local} line, flushing
-    its cache first so the verdict judges the durable medium. *)
+(** {!Sero.Blockio.verify} on a member's {e local} line: a cached
+    member flushes the line first so the verdict judges the durable
+    medium. *)
 
 val entry_write_span :
   ?tenant:int ->

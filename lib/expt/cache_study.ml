@@ -76,6 +76,9 @@ let run_cell ?(ops = 400) ~cache_lines ~read_ahead ~theta () =
            ~dirty_high:(max 1 (cache_lines * Sero.Layout.blocks_per_line lay / 8))
            q)
   in
+  let io =
+    match bc with Some c -> Sero.Blockio.Cache c | None -> Sero.Blockio.Queue q
+  in
   let rng = Sim.Prng.create 0xE21 in
   let zipf = Workload.Zipf.create ~n:(Array.length data_pbas) ~theta in
   let read_lat = Sim.Stats.create ~name:"read" ()
@@ -96,12 +99,9 @@ let run_cell ?(ops = 400) ~cache_lines ~read_ahead ~theta () =
        ~stop:(fun () -> !client_done));
   let read_one ~record pba =
     let t0 = Sim.Des.now des in
-    let r =
-      match bc with
-      | Some c -> Sero.Bcache.read_block c ~pba
-      | None -> Sero.Queue.read_block q ~pba
-    in
-    (match r with Ok _ -> () | Error _ -> assert false);
+    (match Sero.Blockio.read io ~pba with
+    | Ok _ -> ()
+    | Error _ -> assert false);
     if record then Sim.Stats.add read_lat (Sim.Des.now des -. t0)
   in
   for op = 1 to ops do
@@ -121,18 +121,16 @@ let run_cell ?(ops = 400) ~cache_lines ~read_ahead ~theta () =
     else begin
       let pba = data_pbas.(start) in
       let t0 = Sim.Des.now des in
-      let r =
-        match bc with
-        | Some c -> Sero.Bcache.write_block c ~pba (payload_of pba)
-        | None -> Sero.Queue.write_block q ~pba (payload_of pba)
-      in
-      (match r with Ok () -> () | Error _ -> assert false);
+      (match Sero.Blockio.write io ~pba (payload_of pba) with
+      | Ok () -> ()
+      | Error _ -> assert false);
       if record then Sim.Stats.add write_lat (Sim.Des.now des -. t0)
     end;
     advance think_s
   done;
   client_done := true;
-  (match bc with Some c -> Sero.Bcache.sync c | None -> Sero.Queue.drain q);
+  Sero.Blockio.sync io;
+  Sero.Queue.drain q;
   let stats =
     match bc with Some c -> Some (Sero.Bcache.stats c) | None -> None
   in

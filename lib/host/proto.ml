@@ -10,6 +10,7 @@ let st_read_error = 0x41
 let st_write_refused = 0x42
 let st_heat_refused = 0x43
 let st_tampered = 0x44
+let st_out_of_range = 0x45
 let st_not_heated = 0x46
 let st_unsupported = 0x4F
 let st_rejected_depth = 0x81
@@ -21,6 +22,7 @@ let status_name = function
   | 0x42 -> "WRITE_REFUSED"
   | 0x43 -> "HEAT_REFUSED"
   | 0x44 -> "TAMPERED"
+  | 0x45 -> "OUT_OF_RANGE"
   | 0x46 -> "NOT_HEATED"
   | 0x4F -> "UNSUPPORTED"
   | 0x81 -> "REJECTED_DEPTH"

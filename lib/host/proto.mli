@@ -26,6 +26,10 @@ val st_read_error : int
 val st_write_refused : int
 val st_heat_refused : int
 val st_tampered : int
+
+val st_out_of_range : int
+(** Block or line address outside the target's geometry. *)
+
 val st_not_heated : int
 
 val st_unsupported : int

@@ -117,6 +117,31 @@ let audit_summary entries =
       (List.length entries) !intact !blank !tampered,
     !tampered )
 
+(* Whether the command's address lies inside the target's geometry.
+   Commands the target does not support pass, and answer UNSUPPORTED. *)
+let in_range target (cmd : Proto.command) =
+  let below n i = 0 <= i && i < n in
+  match target with
+  | Device q -> (
+      let dev = Sero.Queue.device q in
+      match cmd with
+      | Proto.Read { pba } | Proto.Write { pba; _ } ->
+          below (Sero.Device.config dev).Sero.Device.n_blocks pba
+      | Proto.Heat { line; _ } | Proto.Verify { line } | Proto.Audit_line { line }
+        ->
+          below (Sero.Layout.n_lines (Sero.Device.layout dev)) line
+      | Proto.Audit | Proto.Array_read _ -> true)
+  | Volume v -> (
+      let m = Sarray.Volume.map v in
+      match cmd with
+      | Proto.Read { pba = vba }
+      | Proto.Write { pba = vba; _ }
+      | Proto.Array_read { vba } ->
+          below (Sarray.Amap.n_blocks m) vba
+      | Proto.Heat { line; _ } | Proto.Audit_line { line } ->
+          below (Sarray.Amap.logical_lines m) line
+      | Proto.Verify _ | Proto.Audit -> true)
+
 (* Execute an admitted command.  Queue-path commands (read/write/heat on
    a device target) are asynchronous: the response is pushed when the
    queued request completes.  Electrical-path commands (verify, audit)
@@ -131,6 +156,11 @@ let execute t ts (f : Proto.frame) =
     sync ~read:false ~status:Proto.st_unsupported ~payload:""
   in
   match (t.target, f.Proto.cmd) with
+  | target, cmd when not (in_range target cmd) ->
+      let read =
+        match cmd with Proto.Read _ | Proto.Array_read _ -> true | _ -> false
+      in
+      sync ~read ~status:Proto.st_out_of_range ~payload:""
   | Device q, Proto.Read { pba } ->
       Sero.Queue.submit_read q ~tenant ~pba (function
         | Ok payload -> finish t ts f ~t0 ~read:true ~status:Proto.st_ok ~payload

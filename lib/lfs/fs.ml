@@ -4,8 +4,6 @@ let state t = t.st
 let device t = t.st.State.dev
 let attach_queue t q = State.attach_queue t.st q
 let attach_cache t c = State.attach_cache t.st c
-let queue t = State.queue t.st
-let cache t = State.cache t.st
 
 let format ?policy ?icache_cap ?pcache_cap dev =
   let st = State.create ?policy ?icache_cap ?pcache_cap dev in
@@ -35,7 +33,7 @@ let sync t =
   State.write_checkpoint t.st;
   (* sync means durable: write-behind data (including the checkpoint
      blocks just written) must reach the medium before returning. *)
-  State.flush_block_cache t.st
+  Sero.Blockio.sync t.st.State.io
 
 let unmount t = sync t
 
@@ -200,7 +198,7 @@ let heat t ?(strategy = Heat.Auto) path =
          one (its directory entry lives in a possibly-dirty parent). *)
       File.flush_all t.st;
       State.write_checkpoint t.st;
-      State.flush_block_cache t.st;
+      Sero.Blockio.sync t.st.State.io;
       r)
 
 let verify t path =

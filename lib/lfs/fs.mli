@@ -65,10 +65,9 @@ val attach_queue : t -> Sero.Queue.t -> unit
     cleaner's copies become [Background] traffic, all served under the
     queue's scheduling policy.  Semantically transparent — results are
     the ones the direct calls would produce — but latency now includes
-    queueing behind whatever else the device is serving.
+    queueing behind whatever else the device is serving.  Replaces any
+    earlier {!attach_cache}: of the two, the later call wins.
     @raise State.Fs_error if the queue serves a different device. *)
-
-val queue : t -> Sero.Queue.t option
 
 val attach_cache : t -> Sero.Bcache.t -> unit
 (** Route the file system's block IO through a {!Sero.Bcache} buffer
@@ -76,10 +75,9 @@ val attach_cache : t -> Sero.Bcache.t -> unit
     service, sequential reads prefetch, writes are write-behind
     buffered until {!sync}, {!heat}, or cache pressure flushes them.
     [sync] (and [unmount]) remain durable: they flush the cache
-    through to the medium before returning.
+    through to the medium before returning.  Replaces any earlier
+    {!attach_queue}; the cache fetches through its own queue.
     @raise State.Fs_error if the cache serves a different device. *)
-
-val cache : t -> Sero.Bcache.t option
 
 (** {1 Namespace} *)
 

@@ -90,7 +90,9 @@ let burn_lines st lines =
   List.iter
     (fun line ->
       pad_line st line;
-      match State.heat_line_dev st ~line with
+      match
+        Sero.Blockio.heat st.State.io ~line ~timestamp:(State.now st)
+      with
       | Ok _ -> st.State.metrics.State.heats <- st.State.metrics.State.heats + 1
       | Error e ->
           raise

@@ -56,10 +56,8 @@ type t = {
   mutable next_ino : int;
   mutable seq : int;
   metrics : metrics;
-  mutable ioq : Sero.Queue.t option;
+  mutable io : Sero.Blockio.t;
   mutable io_prio : Sero.Queue.prio;
-  mutable io_tenant : int;
-  mutable bcache : Sero.Bcache.t option;
 }
 
 let default_icache_cap = 256
@@ -123,10 +121,8 @@ let create ?(policy = default_policy) ?(icache_cap = default_icache_cap)
         segments_cleaned = 0;
         heats = 0;
       };
-    ioq = None;
+    io = Sero.Blockio.Device dev;
     io_prio = Sero.Queue.Foreground;
-    io_tenant = 0;
-    bcache = None;
   }
 
 let now t = Probe.Pdevice.elapsed (Sero.Device.pdevice t.dev)
@@ -172,68 +168,29 @@ let free_segments t =
 (* {1 Block IO}
 
    Every block the file system moves — foreground ops, cleaner copies,
-   heat relocations — funnels through these three functions.  With a
-   request pipeline attached ({!attach_queue}) they become queued
-   submissions at the state's current priority class; without one they
-   are the original direct device calls. *)
+   heat relocations — goes through the attached {!Sero.Blockio} port:
+   the bare device until {!attach_queue} or {!attach_cache} says
+   otherwise, queued traffic at the state's current priority class
+   after. *)
 
-let attach_queue t q =
-  if not (Sero.Queue.device q == t.dev) then
-    raise (Fs_error "attach_queue: queue serves a different device");
-  t.ioq <- Some q
+let attach t what io =
+  if not (Sero.Blockio.device io == t.dev) then
+    raise (Fs_error (what ^ " serves a different device"));
+  t.io <- io
 
-let attach_cache t c =
-  if not (Sero.Bcache.device c == t.dev) then
-    raise (Fs_error "attach_cache: cache serves a different device");
-  t.bcache <- Some c;
-  t.ioq <- Some (Sero.Bcache.queue c)
+let attach_queue t q = attach t "attach_queue: queue" (Sero.Blockio.Queue q)
+let attach_cache t c = attach t "attach_cache: cache" (Sero.Blockio.Cache c)
 
-let queue t = t.ioq
-let cache t = t.bcache
 let set_io_prio t prio = t.io_prio <- prio
 let io_prio t = t.io_prio
-let set_io_tenant t tenant = t.io_tenant <- tenant
-let io_tenant t = t.io_tenant
-
-let dev_read_block t ~pba =
-  match t.bcache with
-  | Some c -> Sero.Bcache.read_block ~prio:t.io_prio ~tenant:t.io_tenant c ~pba
-  | None -> (
-      match t.ioq with
-      | None -> Sero.Device.read_block t.dev ~pba
-      | Some q ->
-          Sero.Queue.read_block ~prio:t.io_prio ~tenant:t.io_tenant q ~pba)
-
-let dev_write_block t ~pba payload =
-  match t.bcache with
-  | Some c ->
-      Sero.Bcache.write_block ~prio:t.io_prio ~tenant:t.io_tenant c ~pba
-        payload
-  | None -> (
-      match t.ioq with
-      | None -> Sero.Device.write_block t.dev ~pba payload
-      | Some q ->
-          Sero.Queue.write_block ~prio:t.io_prio ~tenant:t.io_tenant q ~pba
-            payload)
-
-let heat_line_dev t ~line =
-  let timestamp = Probe.Pdevice.elapsed (Sero.Device.pdevice t.dev) in
-  match t.bcache with
-  | Some c -> Sero.Bcache.heat_line ~tenant:t.io_tenant c ~line ~timestamp ()
-  | None -> (
-      match t.ioq with
-      | None -> Sero.Device.heat_line t.dev ~line ~timestamp ()
-      | Some q -> Sero.Queue.heat_line ~tenant:t.io_tenant q ~line ~timestamp ())
-
-let flush_block_cache t = Option.iter Sero.Bcache.sync t.bcache
 
 let read_payload_opt t ~pba =
-  match dev_read_block t ~pba with
+  match Sero.Blockio.read ~prio:t.io_prio t.io ~pba with
   | Ok payload -> Some payload
   | Error _ -> None
 
 let read_payload t ~pba =
-  match dev_read_block t ~pba with
+  match Sero.Blockio.read ~prio:t.io_prio t.io ~pba with
   | Ok payload -> payload
   | Error e ->
       raise
@@ -243,7 +200,7 @@ let read_payload t ~pba =
 
 let write_block_exn t ~pba payload =
   t.metrics.fs_block_writes <- t.metrics.fs_block_writes + 1;
-  match dev_write_block t ~pba payload with
+  match Sero.Blockio.write ~prio:t.io_prio t.io ~pba payload with
   | Ok () -> ()
   | Error Sero.Device.Read_only_device -> raise Read_only_device
   | Error e ->

@@ -77,18 +77,12 @@ type t = {
   mutable next_ino : int;
   mutable seq : int;
   metrics : metrics;
-  mutable ioq : Sero.Queue.t option;
-      (** Attached request pipeline; [None] = direct device calls. *)
+  mutable io : Sero.Blockio.t;
+      (** The stack block IO goes through: [Device dev] until
+          {!attach_queue} or {!attach_cache} replaces it. *)
   mutable io_prio : Sero.Queue.prio;
       (** Priority class tagged onto queued block IO ([Foreground]
           except while the cleaner runs). *)
-  mutable io_tenant : int;
-      (** Tenant tag on queued block IO (default [0]) — the hook the
-          host layer's sessions use to make the file system a
-          session-aware entry point; see {!Sero.Queue}. *)
-  mutable bcache : Sero.Bcache.t option;
-      (** Attached block buffer cache; takes precedence over [ioq] for
-          block IO (the cache itself fetches through its queue). *)
 }
 
 val create :
@@ -115,12 +109,15 @@ val free_segments : t -> int
 (** {1 Block IO}
 
     All file-system block traffic (foreground ops, cleaner copies, heat
-    relocations) funnels through {!read_payload}/{!read_payload_opt}/
-    {!write_block_exn}.  With a queue attached, each becomes a queued
+    relocations) goes through the [io] port: reads via {!read_payload}/
+    {!read_payload_opt}, every write the allocator makes, and heats in
+    [Heat].
+    Over a queue or a cache, each read or write becomes a queued
     request at the state's current {!io_prio} served under the queue's
     scheduling policy (the call still blocks, pumping the DES until its
     own completion — earlier-queued background work may be served on
-    the way). *)
+    the way).  Of {!attach_queue} and {!attach_cache}, the later call
+    wins. *)
 
 val attach_queue : t -> Sero.Queue.t -> unit
 (** Route subsequent block IO through a request pipeline.
@@ -128,32 +125,12 @@ val attach_queue : t -> Sero.Queue.t -> unit
 
 val attach_cache : t -> Sero.Bcache.t -> unit
 (** Route subsequent block IO through a buffer cache (reads may hit
-    with zero sled service, writes are write-behind buffered); also
-    records the cache's queue as the attached pipeline.
+    with zero sled service, writes are write-behind buffered until
+    {!Sero.Blockio.sync}).
     @raise Fs_error if the cache serves a different device. *)
-
-val queue : t -> Sero.Queue.t option
-val cache : t -> Sero.Bcache.t option
-
-val flush_block_cache : t -> unit
-(** {!Sero.Bcache.sync} on the attached cache, if any: write-behind
-    data reaches the medium and the pipeline drains.  No-op without a
-    cache. *)
 
 val set_io_prio : t -> Sero.Queue.prio -> unit
 val io_prio : t -> Sero.Queue.prio
-
-val set_io_tenant : t -> int -> unit
-(** Tenant tag for subsequent queued block IO (default [0]).  Set by a
-    host session around each command so per-tenant fair-share and SLO
-    ledgers see file-system traffic under the right account. *)
-
-val io_tenant : t -> int
-
-val heat_line_dev :
-  t -> line:int -> (Hash.Sha256.t, Sero.Device.heat_error) result
-(** {!Sero.Device.heat_line} stamped with {!now}, routed through the
-    attached queue when there is one. *)
 
 val read_payload : t -> pba:int -> string
 (** @raise Fs_error on unreadable or relocated frames. *)

@@ -213,7 +213,6 @@ let create ?(capacity = 64) ?(read_ahead = 8) ?dirty_high q =
       invalidate_all t);
   t
 
-let queue t = t.q
 let device t = t.dev
 
 (* {1 Cache fill} *)

@@ -53,7 +53,6 @@ val create :
     write that pushes the dirty count past it triggers a flush.
     @raise Invalid_argument if [capacity < 1] or [read_ahead < 0]. *)
 
-val queue : t -> Queue.t
 val device : t -> Device.t
 
 (** {1 Block I/O}

@@ -50,29 +50,23 @@ type prio =
 val create :
   ?policy:Probe.Sched.policy ->
   ?coalesce:bool ->
-  ?max_span:int ->
   ?read_retry_limit:int ->
   ?retry_backoff:float ->
-  ?watchdog_age:float ->
   Sim.Des.t ->
   Device.t ->
   t
 (** A queue serving [dev] on the [des] clock.  [policy] defaults to
     {!Probe.Sched.Elevator}; [coalesce] (default [true]) merges reads
     of consecutive PBAs that are also adjacent in service order into
-    one {!Device.read_blocks} span of at most [max_span] (default 8)
-    blocks.
+    one {!Device.read_blocks} span of at most 8 blocks.
 
     Request-level RAS: a read that completes with [Error] is re-queued
     up to [read_retry_limit] times (default 0 — deliver errors
     immediately) with deterministic exponential backoff off the DES
     clock: the nth retry waits [retry_backoff * 2^(n-1)] simulated
     seconds (default backoff 100 us).  The original submit time is
-    kept, so latency percentiles and the watchdog see the whole ordeal;
-    only the final delivery updates the completion counters.  Any
-    request whose completion takes longer than [watchdog_age] simulated
-    seconds (default [infinity]) trips {!watchdog_trips} — a liveness
-    canary for stuck retry storms, not an abort. *)
+    kept, so latency percentiles see the whole ordeal; only the final
+    delivery updates the completion counters. *)
 
 val device : t -> Device.t
 val des : t -> Sim.Des.t
@@ -161,17 +155,6 @@ val submit_heat_line :
   unit
 (** [timestamp] defaults to the DES clock at submit time. *)
 
-val submit_scrub_line :
-  t ->
-  ?prio:prio ->
-  ?config:Scrub.config ->
-  Scrub.progress ->
-  line:int ->
-  (unit -> unit) ->
-  unit
-(** One {!Scrub.sweep_line} as a request ([prio] defaults to
-    [Background]); outcomes accumulate into the given progress. *)
-
 val submit_verify_line :
   t ->
   ?prio:prio ->
@@ -184,18 +167,6 @@ val submit_verify_line :
     under the arbiter like any other background work instead of jumping
     the foreground; give them a tenant of their own to meter their
     budget through per-tenant accounting. *)
-
-val submit_migrate :
-  t ->
-  ?prio:prio ->
-  line:int ->
-  ?timestamp:float ->
-  ((Device.migration, Device.migrate_error) result -> unit) ->
-  unit
-(** One {!Device.evacuate_line} as a queued request ([prio] defaults to
-    [Background]): the whole evacuation — copy, remap, re-burn,
-    verify — is a single non-preemptive sled pass.  [timestamp]
-    defaults to the DES clock when the request is served. *)
 
 val schedule_scrub :
   ?config:Scrub.config ->
@@ -216,10 +187,11 @@ val schedule_migration :
   t -> period:float -> stop:(unit -> bool) -> Device.migration list ref
 (** Endurance maintenance as background queue traffic: every [period]
     simulated seconds, if no migration is outstanding and
-    {!Device.next_due} names a weakening line, submit one
-    {!submit_migrate} for it.  Evacuations ride the Background class,
-    so they only contend with the foreground through the one sled pass
-    they occupy.  Returns the list the completed migrations accumulate
+    {!Device.next_due} names a weakening line, submit its
+    {!Device.evacuate_line} as one Background request: the whole
+    evacuation — copy, remap, re-burn, verify — is a single
+    non-preemptive sled pass, so it only contends with the foreground
+    through the one pass it occupies.  Returns the list the completed migrations accumulate
     into (newest first). *)
 
 (** {1 Pumping} *)
@@ -297,7 +269,5 @@ val abandoned_reads : t -> int
 (** Reads whose error was delivered after the retry budget ran out
     (only counted when [read_retry_limit > 0]). *)
 
-val watchdog_trips : t -> int
-(** Completions that took longer than [watchdog_age] end to end. *)
 
 val pp_summary : Format.formatter -> t -> unit

@@ -334,6 +334,71 @@ let test_audit_line_volume () =
   Alcotest.(check (list int))
     "mirror split" [ P.st_ok; P.st_tampered ] split.P.r_phases
 
+(* {1 Address bounds}
+
+   A frame addressing past the target's geometry is answered
+   OUT_OF_RANGE instead of raising, and its admission slot is returned:
+   with a depth limit of 1, the next valid frame is still admitted. *)
+
+let test_out_of_range () =
+  let limits_of _ =
+    { Host.Server.weight = 1.; max_depth = 1; rate = infinity; burst = infinity }
+  in
+  let expect_all s cmds =
+    List.iter
+      (fun cmd ->
+        let what = Format.asprintf "%a" P.pp_command cmd in
+        let r = Host.Server.call s cmd in
+        Alcotest.(check (list int)) what [ P.st_ok; P.st_out_of_range ]
+          r.P.r_phases)
+      cmds
+  in
+  (* Device target: 256 blocks in 32 lines. *)
+  let dev, _, server = mkserver ~limits_of () in
+  let s = Host.Server.session server ~tenant:1 in
+  let n_blocks = (Sero.Device.config dev).Sero.Device.n_blocks
+  and n_lines = Sero.Layout.n_lines (Sero.Device.layout dev) in
+  expect_all s
+    [
+      P.Read { pba = n_blocks };
+      P.Read { pba = -1 };
+      P.Write { pba = n_blocks; payload = "x" };
+      P.Heat { line = n_lines; timestamp = None };
+      P.Verify { line = n_lines };
+      P.Audit_line { line = n_lines };
+    ];
+  let r = Host.Server.call s (P.Read { pba = 9 }) in
+  Alcotest.(check (list int)) "device still admits" [ P.st_ok; P.st_ok ]
+    r.P.r_phases;
+  (* Volume target. *)
+  let v =
+    Sarray.Volume.create
+      (Sarray.Volume.default_config ~slots:2 ~replication:2 ~spares:0
+         ~member_blocks:64 ~line_exp:3 ~cache_capacity:None ())
+  in
+  let m = Sarray.Volume.map v in
+  let server = Host.Server.create ~limits_of (Host.Server.Volume v) in
+  let s = Host.Server.session server ~tenant:2 in
+  let n_vbas = Sarray.Amap.n_blocks m
+  and n_lines = Sarray.Amap.logical_lines m in
+  expect_all s
+    [
+      P.Read { pba = n_vbas };
+      P.Array_read { vba = n_vbas };
+      P.Write { pba = n_vbas; payload = "x" };
+      P.Heat { line = n_lines; timestamp = None };
+      P.Audit_line { line = n_lines };
+    ];
+  let unsupported = Host.Server.call s (P.Verify { line = n_lines }) in
+  Alcotest.(check (list int)) "verify stays unsupported"
+    [ P.st_ok; P.st_unsupported ] unsupported.P.r_phases;
+  let w = Host.Server.call s (P.Write { pba = 0; payload = "x" }) in
+  Alcotest.(check (list int)) "volume still admits" [ P.st_ok; P.st_ok ]
+    w.P.r_phases;
+  let r = Host.Server.call s (P.Array_read { vba = 0 }) in
+  Alcotest.(check (list int)) "volume reads back" [ P.st_ok; P.st_ok ]
+    r.P.r_phases
+
 (* {1 Single-tenant equivalence}
 
    The law the host layer must not break: one tenant through
@@ -571,6 +636,8 @@ let () =
           [
             Alcotest.test_case "depth limit" `Quick test_depth_limit;
             Alcotest.test_case "rate limit" `Quick test_rate_limit;
+            Alcotest.test_case "out-of-range addresses answer OUT_OF_RANGE"
+              `Quick test_out_of_range;
           ] );
         ( "arbiter",
           [

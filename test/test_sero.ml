@@ -1202,8 +1202,7 @@ let endurance_cases =
         let dev = make_dev () in
         let des = Sim.Des.create () in
         let q =
-          Sero.Queue.create ~read_retry_limit:3 ~retry_backoff:1e-4
-            ~watchdog_age:1e-12 des dev
+          Sero.Queue.create ~read_retry_limit:3 ~retry_backoff:1e-4 des dev
         in
         let got = ref None in
         (* A blank PBA fails deterministically on every attempt. *)
@@ -1215,8 +1214,6 @@ let endurance_cases =
         | None -> Alcotest.fail "callback never fired");
         Alcotest.(check int) "re-served twice" 2 (Sero.Queue.retried_reads q);
         Alcotest.(check int) "abandoned once" 1 (Sero.Queue.abandoned_reads q);
-        Alcotest.(check bool) "watchdog saw the ordeal" true
-          (Sero.Queue.watchdog_trips q > 0);
         (* A good read is untouched by the retry machinery. *)
         ignore (Sero.Device.write_block dev ~pba:9 "fine");
         let ok = ref false in
