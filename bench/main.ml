@@ -650,11 +650,32 @@ let counter_metrics () =
   let wcopy, wwords =
     per_op (fun () -> ignore (Sero.Device.write_block dev ~pba payload_512))
   in
+  (* The evidence reads: the erb pass and Manchester decode of a burned
+     write-once area (line 2, heated once here), of a blank one (line
+     3, never heated), and a whole verify of the burned line. *)
+  List.iter
+    (fun pba -> ignore (Sero.Device.write_block dev ~pba payload_512))
+    (Sero.Layout.data_blocks_of_line lay 2);
+  (match Sero.Device.heat_line dev ~line:2 () with
+  | Ok _ -> ()
+  | Error _ -> failwith "counter_metrics: heating line 2 failed");
+  let _, burned_words =
+    per_op (fun () -> ignore (Sero.Device.read_hash_block dev ~line:2))
+  in
+  let _, blank_words =
+    per_op (fun () -> ignore (Sero.Device.read_hash_block dev ~line:3))
+  in
+  let _, verify_words =
+    per_op (fun () -> ignore (Sero.Device.verify_line dev ~line:2))
+  in
   [
     ("e24 read bytes copied", rcopy);
     ("e24 read minor words", rwords);
     ("e24 write bytes copied", wcopy);
     ("e24 write minor words", wwords);
+    ("e24 hash read minor words (burned)", burned_words);
+    ("e24 hash read minor words (blank)", blank_words);
+    ("e24 verify minor words", verify_words);
   ]
 
 let pp_section oc name kvs last =

@@ -30,35 +30,28 @@ let encode payload =
   done;
   dots
 
-type decode_result = {
-  payload : string;
-  tampered_cells : int list;
-  blank_cells : int list;
-}
+type decoded = { payload : string; blank : int; tampered : int }
 
+(* Counts, not cell lists: an unburned area has 2048 blank cells, and
+   every caller only needs how many (the device re-derives which ones
+   from its dot buffer when it must re-probe them). *)
 let decode ~heated ~n_bytes =
   let out = Bytes.make n_bytes '\x00' in
-  let tampered = ref [] and blank = ref [] in
+  let blank = ref 0 and tampered = ref 0 in
   for byte = 0 to n_bytes - 1 do
     let v = ref 0 in
     for bit = 0 to 7 do
       let cell = (byte * 8) + bit in
       let a = heated (2 * cell) and b = heated ((2 * cell) + 1) in
-      (match (a, b) with
-      | true, false -> () (* HU = 0 *)
-      | false, true -> v := !v lor (1 lsl (7 - bit)) (* UH = 1 *)
-      | false, false -> blank := cell :: !blank
-      | true, true -> tampered := cell :: !tampered)
+      if a then (if b then incr tampered (* HH *))
+      else if b then v := !v lor (1 lsl (7 - bit)) (* UH = 1 *)
+      else incr blank (* UU *)
     done;
     Bytes.set out byte (Char.chr !v)
   done;
-  {
-    payload = Bytes.unsafe_to_string out;
-    tampered_cells = List.rev !tampered;
-    blank_cells = List.rev !blank;
-  }
+  { payload = Bytes.unsafe_to_string out; blank = !blank; tampered = !tampered }
 
-let is_clean r = r.tampered_cells = [] && r.blank_cells = []
+let is_clean r = r.tampered = 0 && r.blank = 0
 
 let max_adjacent_heated dots =
   let best = ref 0 and run = ref 0 in

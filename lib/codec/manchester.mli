@@ -32,18 +32,24 @@ val encoded_length : int -> int
 (** [encoded_length n] is the number of dots needed for [n] payload
     bytes, i.e. [16 * n]. *)
 
-type decode_result = {
-  payload : string;  (** Best-effort decoded bytes (tampered/blank cells decode as 0). *)
-  tampered_cells : int list;  (** Cell indices found in state [HH]. *)
-  blank_cells : int list;  (** Cell indices found in state [UU]. *)
+type decoded = {
+  payload : string;
+      (** Best-effort decoded bytes (tampered and blank cells decode as 0). *)
+  blank : int;  (** Number of cells found in state [UU]. *)
+  tampered : int;  (** Number of cells found in state [HH]. *)
 }
+(** The decoded payload and the two evidence counts.  The result holds
+    no per-cell lists, so decoding allocates only the payload and this
+    record; a caller that needs to know {e which} cells are blank
+    re-derives them from its dots (cell [c] is blank iff dots [2c] and
+    [2c + 1] are both unheated). *)
 
-val decode : heated:(int -> bool) -> n_bytes:int -> decode_result
+val decode : heated:(int -> bool) -> n_bytes:int -> decoded
 (** [decode ~heated ~n_bytes] reads [16 * n_bytes] dots through the
     [heated] predicate (dot index -> is the dot heated?) and decodes the
     cells.  A clean read has no tampered and no blank cells. *)
 
-val is_clean : decode_result -> bool
+val is_clean : decoded -> bool
 (** No tampered and no blank cells. *)
 
 val max_adjacent_heated : bool array -> int

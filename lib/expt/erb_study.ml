@@ -46,7 +46,7 @@ let naive_read pdev ~start ~cycles =
     Pmedia.Bitops.primitive_ops
       (Pmedia.Bitops.counters (Probe.Pdevice.bitops pdev))
   in
-  (decoded.Codec.Manchester.blank_cells <> [], after - before)
+  (decoded.Codec.Manchester.blank > 0, after - before)
 
 (* The device's adaptive strategy, measured through read_hash_block. *)
 let adaptive_read dev ~line =

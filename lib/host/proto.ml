@@ -62,37 +62,73 @@ let command_name = function
   | Array_read _ -> "array-read"
   | Audit_line _ -> "audit-line"
 
-let write_body w { tenant; seq; cmd } =
-  let module W = Codec.Binio.W in
-  W.u8 w version;
-  W.u8 w (opcode_of_command cmd);
-  W.u16 w tenant;
-  W.u32 w seq;
-  match cmd with
-  | Read { pba } -> W.u32 w pba
-  | Write { pba; payload } ->
-      W.u32 w pba;
-      W.str w payload
-  | Heat { line; timestamp } -> (
-      W.u32 w line;
-      match timestamp with
-      | None -> W.u8 w 0
-      | Some ts ->
-          W.u8 w 1;
-          W.f64 w ts)
-  | Verify { line } -> W.u32 w line
-  | Audit -> ()
-  | Array_read { vba } -> W.u32 w vba
-  | Audit_line { line } -> W.u32 w line
+(* {2 Encoding}
 
-let encode_frame f =
-  let module W = Codec.Binio.W in
-  let body = W.create () in
-  write_body body f;
-  let w = W.create () in
-  W.u32 w (W.length body);
-  W.raw w (W.contents body);
-  W.contents w
+   Every body length is known before a byte is written (a fixed
+   header, the opcode's fields, the payload), so a frame or response is
+   laid out straight into one string of exactly its wire size: the
+   payload is copied once, and nothing regrows.  Big-endian, as
+   {!Codec.Binio.W} would write it. *)
+
+(* Version, opcode, tenant, seq. *)
+let header_len = 8
+
+let put_u8 b off v = Bytes.set b off (Char.unsafe_chr (v land 0xFF))
+
+let put_u16 b off v =
+  put_u8 b off (v lsr 8);
+  put_u8 b (off + 1) v
+
+let put_u32 b off v =
+  put_u16 b off (v lsr 16);
+  put_u16 b (off + 2) v
+
+(* A length-prefixed (u32) string, as {!Codec.Binio.W.str}. *)
+let put_str b off s =
+  put_u32 b off (String.length s);
+  Bytes.blit_string s 0 b (off + 4) (String.length s)
+
+(* The length prefix and header of a [body_len]-byte body, in a fresh
+   buffer sized for the whole message; the fields start at [4 +
+   header_len]. *)
+let start_message ~body_len ~op ~tenant ~seq =
+  let b = Bytes.create (4 + body_len) in
+  put_u32 b 0 body_len;
+  put_u8 b 4 version;
+  put_u8 b 5 op;
+  put_u16 b 6 tenant;
+  put_u32 b 8 seq;
+  b
+
+let command_len = function
+  | Read _ | Verify _ | Array_read _ | Audit_line _ -> 4
+  | Write { payload; _ } -> 8 + String.length payload
+  | Heat { timestamp = None; _ } -> 5
+  | Heat { timestamp = Some _; _ } -> 13
+  | Audit -> 0
+
+let encode_frame { tenant; seq; cmd } =
+  let b =
+    start_message ~body_len:(header_len + command_len cmd)
+      ~op:(opcode_of_command cmd) ~tenant ~seq
+  in
+  let o = 4 + header_len in
+  (match cmd with
+  | Read { pba } -> put_u32 b o pba
+  | Write { pba; payload } ->
+      put_u32 b o pba;
+      put_str b (o + 4) payload
+  | Heat { line; timestamp } -> (
+      put_u32 b o line;
+      match timestamp with
+      | None -> put_u8 b (o + 4) 0
+      | Some ts ->
+          put_u8 b (o + 4) 1;
+          Bytes.set_int64_be b (o + 5) (Int64.bits_of_float ts))
+  | Verify { line } | Audit_line { line } -> put_u32 b o line
+  | Audit -> ()
+  | Array_read { vba } -> put_u32 b o vba);
+  Bytes.unsafe_to_string b
 
 let decode_frame ?(off = 0) s =
   let module R = Codec.Binio.R in
@@ -144,19 +180,17 @@ type response = {
 let response_failed r = List.exists status_failed r.r_phases
 
 let encode_response r =
-  let module W = Codec.Binio.W in
-  let body = W.create () in
-  W.u8 body version;
-  W.u8 body r.r_op;
-  W.u16 body r.r_tenant;
-  W.u32 body r.r_seq;
-  W.u8 body (List.length r.r_phases);
-  List.iter (W.u8 body) r.r_phases;
-  W.str body r.r_payload;
-  let w = W.create () in
-  W.u32 w (W.length body);
-  W.raw w (W.contents body);
-  W.contents w
+  let n = List.length r.r_phases in
+  let b =
+    start_message
+      ~body_len:(header_len + 1 + n + 4 + String.length r.r_payload)
+      ~op:r.r_op ~tenant:r.r_tenant ~seq:r.r_seq
+  in
+  let o = 4 + header_len in
+  put_u8 b o n;
+  List.iteri (fun i st -> put_u8 b (o + 1 + i) st) r.r_phases;
+  put_str b (o + 1 + n) r.r_payload;
+  Bytes.unsafe_to_string b
 
 let decode_response ?(off = 0) s =
   let module R = Codec.Binio.R in

@@ -107,6 +107,7 @@ type migration = {
 type scratch = {
   sc_block : bool array;
   sc_wo : bool array;
+  sc_probe : bool array; (* the 2 dots of one cell, escalation re-probes *)
   sc_image : Bytes.t; (* one packed block image, block_dots / 8 *)
   mutable sc_span : Bytes.t; (* coalesced-span images, grown on demand *)
 }
@@ -124,6 +125,7 @@ let scratch_acquire () =
       {
         sc_block = Array.make Layout.block_dots false;
         sc_wo = Array.make Layout.wo_area_dots false;
+        sc_probe = Array.make 2 false;
         sc_image = Bytes.create (Layout.block_dots / 8);
         sc_span = Bytes.empty;
       }
@@ -705,7 +707,8 @@ let parse_wo_payload payload =
 let escalation_cycles = 24
 
 let read_wo_area t ~start =
-  let heated_dots = (scratch t).sc_wo in
+  let sc = scratch t in
+  let heated_dots = sc.sc_wo in
   Probe.Pdevice.erb_run_into t.pdevice ~start ~len:Layout.wo_area_dots
     ~dst:heated_dots;
   let decode () =
@@ -715,46 +718,41 @@ let read_wo_area t ~start =
   in
   let first = decode () in
   let n_cells = 8 * Layout.wo_area_bytes in
-  let all_blank =
-    List.length first.Codec.Manchester.blank_cells = n_cells
-  in
+  let all_blank = first.Codec.Manchester.blank = n_cells in
   let decoded =
-    if all_blank || first.Codec.Manchester.blank_cells = [] then first
+    if all_blank || first.Codec.Manchester.blank = 0 then first
     else begin
       (* Suspicious blanks inside a burned area: re-probe those cells'
-         dots hard before believing them. *)
-      List.iter
-        (fun cell ->
-          let d0 = start + (2 * cell) in
-          let re =
-            Probe.Pdevice.erb_run ~cycles:escalation_cycles t.pdevice
-              ~start:d0 ~len:2
-          in
-          heated_dots.(2 * cell) <- heated_dots.(2 * cell) || re.(0);
-          heated_dots.((2 * cell) + 1) <- heated_dots.((2 * cell) + 1) || re.(1))
-        first.Codec.Manchester.blank_cells;
+         dots hard before believing them.  Re-probing a cell only
+         touches its own two dots, so scanning for blanks while
+         re-probing visits the same cells, in the same order, as the
+         first decode found them. *)
+      let probe = sc.sc_probe in
+      for cell = 0 to n_cells - 1 do
+        let d = 2 * cell in
+        if not (heated_dots.(d) || heated_dots.(d + 1)) then begin
+          Probe.Pdevice.erb_run_into ~cycles:escalation_cycles t.pdevice
+            ~start:(start + d) ~len:2 ~dst:probe;
+          heated_dots.(d) <- probe.(0);
+          heated_dots.(d + 1) <- probe.(1)
+        end
+      done;
       decode ()
     end
   in
+  let { Codec.Manchester.payload; blank; tampered } = decoded in
   if all_blank then `Not_heated
-  else if decoded.Codec.Manchester.tampered_cells <> [] then
-    `Tampered
-      [ Tamper.Invalid_cells (List.length decoded.Codec.Manchester.tampered_cells) ]
-  else if decoded.Codec.Manchester.blank_cells <> [] then
+  else if tampered > 0 then `Tampered [ Tamper.Invalid_cells tampered ]
+  else if blank > 0 then
     (* Burned and blank cells mixed, but no HH evidence anywhere: the
        signature of an interrupted or underpowered burn (cells are
        written low-to-high, so a power cut leaves a burned prefix;
        weak pulses leave isolated holes).  Verification still treats
        this as [Partially_burned] evidence; [heat_line] can complete
        it. *)
-    `Torn
-      {
-        burned_cells =
-          n_cells - List.length decoded.Codec.Manchester.blank_cells;
-        partial_payload = decoded.Codec.Manchester.payload;
-      }
+    `Torn { burned_cells = n_cells - blank; partial_payload = payload }
   else
-    match parse_wo_payload decoded.Codec.Manchester.payload with
+    match parse_wo_payload payload with
     | None -> `Tampered [ Tamper.Meta_corrupt ]
     | Some meta -> `Burned meta
 

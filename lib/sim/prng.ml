@@ -1,12 +1,21 @@
-type t = { mutable state : int64 }
+(* The state lives unboxed in 8 bytes: an [int64] record field would be
+   a freshly boxed value on every draw (no flambda to unbox it), and the
+   erb kernels draw 2-3 coins per heated dot.  The byte order is native;
+   nothing marshals a generator, so only the state's value matters. *)
+type t = Bytes.t
 
 let golden = 0x9E3779B97F4A7C15L
 
-let create seed = { state = Int64.of_int seed }
-let copy t = { state = t.state }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 s;
+  t
+
+let create seed = of_state (Int64.of_int seed)
+let copy = Bytes.copy
 
 (* The splitmix64 output finalizer, used as a mixing function. *)
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
@@ -17,16 +26,14 @@ let mix z =
    stream [i+1]).  A pure function of (seed, index), so fleet shards can
    derive device streams independently of worker count or order. *)
 let stream ~seed index =
-  { state = mix (Int64.logxor (Int64.of_int seed) (mix (Int64.of_int index))) }
+  of_state (mix (Int64.logxor (Int64.of_int seed) (mix (Int64.of_int index))))
 
-let bits64 t =
-  let z = Int64.add t.state golden in
-  t.state <- z;
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
-  Int64.logxor z (Int64.shift_right_logical z 31)
+let[@inline] bits64 t =
+  let z = Int64.add (Bytes.get_int64_ne t 0) golden in
+  Bytes.set_int64_ne t 0 z;
+  mix z
 
-let split t = { state = bits64 t }
+let split t = of_state (bits64 t)
 
 let int t n =
   if n <= 0 then invalid_arg "Prng.int: bound must be positive";
@@ -39,7 +46,7 @@ let uniform t =
   float_of_int v /. 9007199254740992.
 
 let float t x = uniform t *. x
-let bool t = Int64.logand (bits64 t) 1L = 1L
+let[@inline] bool t = Int64.logand (bits64 t) 1L = 1L
 
 let bernoulli t p =
   if p <= 0. then false else if p >= 1. then true else uniform t < p

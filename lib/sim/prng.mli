@@ -3,7 +3,14 @@
     Every stochastic component of the simulation (read noise on heated
     dots, defect placement, workload generation, thermal crosstalk draws)
     takes an explicit generator so that experiments are reproducible from
-    a seed, independently of the OCaml stdlib [Random] state. *)
+    a seed, independently of the OCaml stdlib [Random] state.
+
+    The stream is frozen: every simulated figure in the repository is a
+    function of these draws, and [test_sim] pins the first draws of
+    {!create}, {!stream} and {!split} (and of {!bool}, {!int},
+    {!uniform} and {!bernoulli}) to constants.  The state is held
+    unboxed, so advancing it allocates nothing; that representation is
+    private, and changing it must leave the pinned stream intact. *)
 
 type t
 

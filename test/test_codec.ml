@@ -48,7 +48,83 @@ let manchester_tamper =
         Codec.Manchester.decode ~heated:(heated_of_array dots)
           ~n_bytes:(String.length payload)
       in
-      List.length d.Codec.Manchester.tampered_cells = 1)
+      d.Codec.Manchester.tampered = 1)
+
+(* The list-returning decoder the codec used before it returned counts,
+   kept as the reference: the counting decoder must agree with it on
+   the payload and on how many cells are blank and tampered, and the
+   blank cells re-derived from the dots must be exactly its list. *)
+type oracle = { o_payload : string; o_tampered : int list; o_blank : int list }
+
+let oracle_decode ~heated ~n_bytes =
+  let out = Bytes.make n_bytes '\x00' in
+  let tampered = ref [] and blank = ref [] in
+  for byte = 0 to n_bytes - 1 do
+    let v = ref 0 in
+    for bit = 0 to 7 do
+      let cell = (byte * 8) + bit in
+      let a = heated (2 * cell) and b = heated ((2 * cell) + 1) in
+      (match (a, b) with
+      | true, false -> ()
+      | false, true -> v := !v lor (1 lsl (7 - bit))
+      | false, false -> blank := cell :: !blank
+      | true, true -> tampered := cell :: !tampered)
+    done;
+    Bytes.set out byte (Char.chr !v)
+  done;
+  {
+    o_payload = Bytes.to_string out;
+    o_tampered = List.rev !tampered;
+    o_blank = List.rev !blank;
+  }
+
+(* Dot arrays of 1-32 bytes' worth of cells: random H/U per dot, all
+   blank, all HH, a burned area torn after a random cell prefix, and a
+   burned area with isolated blank holes. *)
+let dots_gen =
+  let open QCheck.Gen in
+  let* n_bytes = int_range 1 32 in
+  let n_cells = 8 * n_bytes in
+  let burned = map Codec.Manchester.encode (string_size (return n_bytes)) in
+  oneof
+    [
+      array_size (return (2 * n_cells)) bool;
+      return (Array.make (2 * n_cells) false);
+      return (Array.make (2 * n_cells) true);
+      map2
+        (fun dots k -> Array.mapi (fun i h -> h && i < 2 * k) dots)
+        burned (int_range 0 n_cells);
+      map2
+        (fun dots holes ->
+          List.iter
+            (fun c ->
+              dots.(2 * c) <- false;
+              dots.((2 * c) + 1) <- false)
+            holes;
+          dots)
+        burned
+        (list_size (int_range 1 4) (int_bound (n_cells - 1)));
+    ]
+
+let manchester_oracle =
+  QCheck.Test.make ~name:"counting decoder matches the list oracle" ~count:500
+    (QCheck.make dots_gen
+       ~print:(fun a ->
+         String.init (Array.length a) (fun i -> if a.(i) then 'H' else 'U')))
+    (fun dots ->
+      let n_bytes = Array.length dots / 16 in
+      let heated = heated_of_array dots in
+      let d = Codec.Manchester.decode ~heated ~n_bytes in
+      let o = oracle_decode ~heated ~n_bytes in
+      let rederived =
+        List.filter
+          (fun c -> not (dots.(2 * c) || dots.((2 * c) + 1)))
+          (List.init (8 * n_bytes) Fun.id)
+      in
+      String.equal d.Codec.Manchester.payload o.o_payload
+      && d.Codec.Manchester.blank = List.length o.o_blank
+      && d.Codec.Manchester.tampered = List.length o.o_tampered
+      && rederived = o.o_blank)
 
 let manchester_cases =
   [
@@ -56,12 +132,10 @@ let manchester_cases =
         let d =
           Codec.Manchester.decode ~heated:(fun _ -> false) ~n_bytes:4
         in
-        Alcotest.(check int) "blank cells" 32
-          (List.length d.Codec.Manchester.blank_cells));
+        Alcotest.(check int) "blank cells" 32 d.Codec.Manchester.blank);
     Alcotest.test_case "fully heated area is all-tampered" `Quick (fun () ->
         let d = Codec.Manchester.decode ~heated:(fun _ -> true) ~n_bytes:2 in
-        Alcotest.(check int) "tampered" 16
-          (List.length d.Codec.Manchester.tampered_cells));
+        Alcotest.(check int) "tampered" 16 d.Codec.Manchester.tampered);
     Alcotest.test_case "encoded_length" `Quick (fun () ->
         Alcotest.(check int) "16 dots per byte" 160 (Codec.Manchester.encoded_length 10));
     Alcotest.test_case "cell convention: 0 -> HU, 1 -> UH (Fig. 3)" `Quick
@@ -436,7 +510,7 @@ let () =
         manchester_cases
         @ List.map qtest
             [ manchester_roundtrip; manchester_spreading; manchester_density;
-              manchester_tamper ] );
+              manchester_tamper; manchester_oracle ] );
       ("crc32", crc_cases @ [ qtest crc_detects_flip ]);
       ("gf256", List.map qtest gf_tests);
       ( "reed-solomon",

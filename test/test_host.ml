@@ -104,6 +104,113 @@ let trace_roundtrip =
   QCheck.Test.make ~name:"hex trace print/parse roundtrip" ~count:200
     arb_frames (fun fs -> P.parse_trace (P.print_trace fs) = fs)
 
+(* {1 Encoder oracle}
+
+   The two-buffer encoders the protocol used before frames were laid
+   out in one pass, kept as the reference: the body went into one
+   growing buffer, then was copied behind its u32 length into a
+   second.  The one-pass encoders must produce the same bytes. *)
+
+let oracle_encode_frame { P.tenant; seq; cmd } =
+  let module W = Codec.Binio.W in
+  let body = W.create () in
+  W.u8 body P.version;
+  W.u8 body (P.opcode_of_command cmd);
+  W.u16 body tenant;
+  W.u32 body seq;
+  (match cmd with
+  | P.Read { pba } -> W.u32 body pba
+  | P.Write { pba; payload } ->
+      W.u32 body pba;
+      W.str body payload
+  | P.Heat { line; timestamp } -> (
+      W.u32 body line;
+      match timestamp with
+      | None -> W.u8 body 0
+      | Some ts ->
+          W.u8 body 1;
+          W.f64 body ts)
+  | P.Verify { line } -> W.u32 body line
+  | P.Audit -> ()
+  | P.Array_read { vba } -> W.u32 body vba
+  | P.Audit_line { line } -> W.u32 body line);
+  let w = W.create () in
+  W.u32 w (W.length body);
+  W.raw w (W.contents body);
+  W.contents w
+
+let oracle_encode_response r =
+  let module W = Codec.Binio.W in
+  let body = W.create () in
+  W.u8 body P.version;
+  W.u8 body r.P.r_op;
+  W.u16 body r.P.r_tenant;
+  W.u32 body r.P.r_seq;
+  W.u8 body (List.length r.P.r_phases);
+  List.iter (W.u8 body) r.P.r_phases;
+  W.str body r.P.r_payload;
+  let w = W.create () in
+  W.u32 w (W.length body);
+  W.raw w (W.contents body);
+  W.contents w
+
+(* Every opcode, with payloads either empty or a full 512-byte sector
+   (the sizes that regrew the old buffers), heats with and without a
+   timestamp, and 0-4 response phases. *)
+let gen_oracle_payload =
+  QCheck.Gen.(
+    oneof [ return ""; string_size ~gen:char (return 512); string_size ~gen:char (0 -- 600) ])
+
+let gen_oracle_frame =
+  QCheck.Gen.(
+    let pba = 0 -- 0xFFFFFF in
+    let ts = map (fun i -> float_of_int i /. 16.) (0 -- 1_000_000) in
+    let* cmd =
+      oneof
+        [
+          map (fun pba -> P.Read { pba }) pba;
+          map2 (fun pba payload -> P.Write { pba; payload }) pba gen_oracle_payload;
+          map (fun line -> P.Heat { line; timestamp = None }) pba;
+          map2 (fun line ts -> P.Heat { line; timestamp = Some ts }) pba ts;
+          map (fun line -> P.Verify { line }) pba;
+          return P.Audit;
+          map (fun vba -> P.Array_read { vba }) pba;
+          map (fun line -> P.Audit_line { line }) pba;
+        ]
+    in
+    let* tenant = 0 -- 0xFFFF in
+    let* seq = 0 -- 0xFFFFFFFF in
+    return { P.tenant; seq; cmd })
+
+let gen_oracle_response =
+  QCheck.Gen.(
+    let* r_tenant = 0 -- 0xFFFF in
+    let* r_seq = 0 -- 0xFFFFFFFF in
+    let* r_op = 1 -- 7 in
+    let* r_phases = list_size (0 -- 4) (0 -- 255) in
+    let* r_payload = gen_oracle_payload in
+    return { P.r_tenant; r_seq; r_op; r_phases; r_payload })
+
+let frame_oracle =
+  QCheck.Test.make ~name:"frame encoder matches the two-buffer oracle"
+    ~count:500
+    (QCheck.make ~print:(Format.asprintf "%a" P.pp_frame) gen_oracle_frame)
+    (fun f ->
+      let s = P.encode_frame f in
+      let f', stop = P.decode_frame s in
+      String.equal s (oracle_encode_frame f)
+      && f = f' && stop = String.length s)
+
+let response_oracle =
+  QCheck.Test.make ~name:"response encoder matches the two-buffer oracle"
+    ~count:500
+    (QCheck.make ~print:(Format.asprintf "%a" P.pp_response) gen_oracle_response)
+    (fun r ->
+      let s = P.encode_response r in
+      let r', stop = P.decode_response s in
+      String.equal s (oracle_encode_response r)
+      && r = r' && stop = String.length s)
+
 (* {1 Test rig}
 
    The golden device geometry: 256 blocks in lines of 8 — what
@@ -631,6 +738,8 @@ let () =
             qtest frame_bad_version;
             qtest response_roundtrip;
             qtest trace_roundtrip;
+            qtest frame_oracle;
+            qtest response_oracle;
           ] );
         ( "admission",
           [

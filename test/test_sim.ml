@@ -65,6 +65,64 @@ let prng_cases =
         Alcotest.(check bool) "actually moved" true (a <> Array.init 50 (fun i -> i)));
   ]
 
+(* The frozen splitmix64 stream: every simulated figure in the repo is
+   a function of these draws, so a change to the generator's
+   representation must leave them bit-identical.  The constants were
+   taken from the boxed-[int64] implementation this one replaced. *)
+let first8 t = List.init 8 (fun _ -> Sim.Prng.bits64 t)
+
+let pinned_cases =
+  let check_bits name expect t =
+    Alcotest.(check (list int64)) name expect (first8 t)
+  in
+  [
+    Alcotest.test_case "pinned: create 42" `Quick (fun () ->
+        check_bits "bits64"
+          [ 0xBDD732262FEB6E95L; 0x28EFE333B266F103L; 0x47526757130F9F52L;
+            0x581CE1FF0E4AE394L; 0x09BC585A244823F2L; 0xDE4431FA3C80DB06L;
+            0x37E9671C45376D5DL; 0xCCF635EE9E9E2FA4L ]
+          (Sim.Prng.create 42));
+    Alcotest.test_case "pinned: stream ~seed:7 3" `Quick (fun () ->
+        check_bits "bits64"
+          [ 0x0A29F358F4432DB7L; 0x88FF1F479CDDBDF0L; 0x109C2917EDD3A475L;
+            0x795175907F65C15DL; 0xD7A4DF51B19DCEA9L; 0xB369AE23A212007FL;
+            0x9E8861AD51388DD9L; 0xBD4A868D38F814DFL ]
+          (Sim.Prng.stream ~seed:7 3));
+    Alcotest.test_case "pinned: split child and parent" `Quick (fun () ->
+        let parent = Sim.Prng.create 42 in
+        let child = Sim.Prng.split parent in
+        check_bits "child"
+          [ 0x57E1FABA65107204L; 0xF4ABD143FEB24055L; 0x7C816738C12903B2L;
+            0x113E5DEC6F8FD8A8L; 0xAD4A599062FD1739L; 0x11485B98A7EA20B7L;
+            0x32028F50341EBD74L; 0xBC16A3D4CC48678EL ]
+          child;
+        check_bits "parent"
+          [ 0x28EFE333B266F103L; 0x47526757130F9F52L; 0x581CE1FF0E4AE394L;
+            0x09BC585A244823F2L; 0xDE4431FA3C80DB06L; 0x37E9671C45376D5DL;
+            0xCCF635EE9E9E2FA4L; 0x5705B8770B3D7DD5L ]
+          parent);
+    Alcotest.test_case "pinned: 64 bool draws" `Quick (fun () ->
+        let rng = Sim.Prng.create 5 in
+        let mask = ref 0L in
+        for i = 0 to 63 do
+          if Sim.Prng.bool rng then
+            mask := Int64.logor !mask (Int64.shift_left 1L i)
+        done;
+        Alcotest.(check int64) "bitmask" 0xF1E6FCADDBB776DCL !mask);
+    Alcotest.test_case "pinned: int, uniform, bernoulli" `Quick (fun () ->
+        let rng = Sim.Prng.create 11 in
+        Alcotest.(check (list int)) "int"
+          [ 3; 136; 683547; 0; 853041813105 ]
+          (List.map (Sim.Prng.int rng) [ 10; 1000; 1_000_000; 7; 1 lsl 40 ]);
+        Alcotest.(check (list (float 0.))) "uniform"
+          [ 0x1.1a9793c2f560bp-1; 0x1.9bb512052f098p-4; 0x1.8f59ce82d7752p-1 ]
+          (List.init 3 (fun _ -> Sim.Prng.uniform rng));
+        Alcotest.(check (list bool)) "bernoulli 0.3"
+          [ false; false; true; true; false; false; false; true;
+            false; false; false; false; true; false; false; false ]
+          (List.init 16 (fun _ -> Sim.Prng.bernoulli rng 0.3)));
+  ]
+
 let int_in_range =
   QCheck.Test.make ~name:"int n is always in [0, n)" ~count:300
     QCheck.(pair (int_range 1 1000000) small_nat)
@@ -868,7 +926,7 @@ let fleet_cases =
 let () =
   Alcotest.run "sim"
     [
-      ("prng", prng_cases @ stream_cases @ [ qtest int_in_range ]);
+      ("prng", prng_cases @ pinned_cases @ stream_cases @ [ qtest int_in_range ]);
       ("stats",
        stats_cases @ stats_merge_cases
        @ [
