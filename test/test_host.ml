@@ -243,6 +243,13 @@ let mkserver ?limits_of ?(prefilled = true) () =
   let server = Host.Server.create ?limits_of (Host.Server.Device q) in
   (dev, q, server)
 
+(* The golden volume geometry: two 64-block members mirroring each
+   other, lines of 8, no cache. *)
+let mkvolume () =
+  Sarray.Volume.create
+    (Sarray.Volume.default_config ~slots:2 ~replication:2 ~spares:0
+       ~member_blocks:64 ~line_exp:3 ~cache_capacity:None ())
+
 (* {1 Admission control} *)
 
 let test_depth_limit () =
@@ -396,11 +403,7 @@ let test_audit_line_device () =
   Alcotest.(check int) "no further hook calls" 3 (List.length !seen)
 
 let test_audit_line_volume () =
-  let v =
-    Sarray.Volume.create
-      (Sarray.Volume.default_config ~slots:2 ~replication:2 ~spares:0
-         ~member_blocks:64 ~line_exp:3 ~cache_capacity:None ())
-  in
+  let v = mkvolume () in
   let m = Sarray.Volume.map v in
   let dpl =
     Sero.Layout.data_blocks_per_line
@@ -478,11 +481,7 @@ let test_out_of_range () =
   Alcotest.(check (list int)) "device still admits" [ P.st_ok; P.st_ok ]
     r.P.r_phases;
   (* Volume target. *)
-  let v =
-    Sarray.Volume.create
-      (Sarray.Volume.default_config ~slots:2 ~replication:2 ~spares:0
-         ~member_blocks:64 ~line_exp:3 ~cache_capacity:None ())
-  in
+  let v = mkvolume () in
   let m = Sarray.Volume.map v in
   let server = Host.Server.create ~limits_of (Host.Server.Volume v) in
   let s = Host.Server.session server ~tenant:2 in
@@ -505,6 +504,34 @@ let test_out_of_range () =
   let r = Host.Server.call s (P.Array_read { vba = 0 }) in
   Alcotest.(check (list int)) "volume reads back" [ P.st_ok; P.st_ok ]
     r.P.r_phases
+
+(* {1 Read ledger}
+
+   Commands a target does not support never count as reads, whatever
+   their address; an out-of-range read still does. *)
+
+let test_read_ledger () =
+  let reads server =
+    Sim.Stats.count (Host.Slo.read_latency (Host.Server.slo server ~tenant:0))
+  in
+  let _, _, dserver = mkserver () in
+  let s = Host.Server.session dserver ~tenant:0 in
+  List.iter
+    (fun cmd -> ignore (Host.Server.call s cmd))
+    [ P.Array_read { vba = 0 }; P.Array_read { vba = 9999 } ];
+  Alcotest.(check int) "device array-read is not a read" 0 (reads dserver);
+  ignore (Host.Server.call s (P.Read { pba = 9999 }));
+  Alcotest.(check int) "out-of-range read counts" 1 (reads dserver);
+  let vserver = Host.Server.create (Host.Server.Volume (mkvolume ())) in
+  let s = Host.Server.session vserver ~tenant:0 in
+  List.iter
+    (fun cmd -> ignore (Host.Server.call s cmd))
+    [ P.Verify { line = 0 }; P.Verify { line = 9999 }; P.Audit ];
+  Alcotest.(check int) "volume verify/audit are not reads" 0 (reads vserver);
+  List.iter
+    (fun cmd -> ignore (Host.Server.call s cmd))
+    [ P.Read { pba = 9999 }; P.Array_read { vba = 9999 }; P.Read { pba = 0 } ];
+  Alcotest.(check int) "volume reads count, in range or not" 3 (reads vserver)
 
 (* {1 Single-tenant equivalence}
 
@@ -612,9 +639,11 @@ let host_equivalence =
    basic.ctrace exercises every status byte a single tenant can see on
    a device target; admission.ctrace interleaves two tenants under
    [--rate 0 --burst 2] so the third command of each bounces with
-   REJECTED_RATE.  The conformance test replays them in-process over
-   the fixture geometry and diffs [format_replay] output exactly;
-   [serotool serve-replay --expect] does the same end-to-end in CI. *)
+   REJECTED_RATE; volume.ctrace does for a volume target what
+   basic.ctrace does for a device.  The conformance tests replay them
+   in-process over the fixture geometry and diff [format_replay] output
+   exactly; [serotool serve-replay --expect] does the same for the
+   device traces end-to-end in CI. *)
 
 let basic_frames =
   let fs = ref [] and seq = ref 0 in
@@ -651,6 +680,47 @@ let admission_frames =
   add 2 2 (P.Write { pba = 19; payload = "tenant 2 record 2" });
   List.rev !fs
 
+(* volume.ctrace walks every status byte a volume target can answer:
+   line 0 is filled, read back, heated and attested; line 1 stays blank
+   until it is filled and heated on the DES clock (no timestamp).  The
+   last vba (27) and line (3) answer; one past them is OUT_OF_RANGE. *)
+let volume_frames =
+  let fs = ref [] and seq = ref 0 in
+  let add cmd =
+    fs := { P.tenant = 0; seq = !seq; cmd } :: !fs;
+    incr seq
+  in
+  for vba = 0 to 6 do
+    add (P.Write { pba = vba; payload = Printf.sprintf "volume record %d" vba })
+  done;
+  add (P.Read { pba = 0 });
+  add (P.Array_read { vba = 6 });
+  add (P.Read { pba = 7 });
+  add (P.Array_read { vba = 27 });
+  add (P.Audit_line { line = 0 });
+  add (P.Heat { line = 0; timestamp = Some 1.5 });
+  add (P.Audit_line { line = 0 });
+  add (P.Write { pba = 3; payload = "too late" });
+  add (P.Heat { line = 0; timestamp = Some 2.0 });
+  add (P.Heat { line = 1; timestamp = Some 2.0 });
+  add (P.Audit_line { line = 3 });
+  add (P.Verify { line = 0 });
+  add (P.Verify { line = 99 });
+  add P.Audit;
+  for vba = 7 to 13 do
+    add (P.Write { pba = vba; payload = Printf.sprintf "volume record %d" vba })
+  done;
+  add (P.Heat { line = 1; timestamp = None });
+  add (P.Audit_line { line = 1 });
+  add (P.Array_read { vba = 7 });
+  add (P.Read { pba = 28 });
+  add (P.Array_read { vba = 28 });
+  add (P.Write { pba = 28; payload = "x" });
+  add (P.Heat { line = 4; timestamp = None });
+  add (P.Audit_line { line = 4 });
+  add (P.Read { pba = -1 });
+  List.rev !fs
+
 let admission_limits _ =
   { Host.Server.weight = 1.; max_depth = max_int; rate = 0.; burst = 2. }
 
@@ -658,6 +728,10 @@ let replay_fresh ?limits_of frames =
   let dev = mkdev () in
   let q = Sero.Queue.create (Sim.Des.create ()) dev in
   let server = Host.Server.create ?limits_of (Host.Server.Device q) in
+  Host.Server.format_replay (Host.Server.replay server frames)
+
+let replay_volume frames =
+  let server = Host.Server.create (Host.Server.Volume (mkvolume ())) in
   Host.Server.format_replay (Host.Server.replay server frames)
 
 let read_fixture name =
@@ -677,6 +751,14 @@ let test_golden_admission () =
   Alcotest.(check string) "status lines"
     (read_fixture "admission.expected")
     (replay_fresh ~limits_of:admission_limits frames)
+
+let test_golden_volume () =
+  let frames = P.parse_trace (read_fixture "volume.ctrace") in
+  Alcotest.(check int) "frame count" (List.length volume_frames)
+    (List.length frames);
+  Alcotest.(check string) "status lines"
+    (read_fixture "volume.expected")
+    (replay_volume frames)
 
 (* {1 Fixture regeneration} *)
 
@@ -722,6 +804,18 @@ let regen dir =
   write_file
     (Filename.concat dir "admission.expected")
     (replay_fresh ~limits_of:admission_limits admission_frames);
+  write_file
+    (Filename.concat dir "volume.ctrace")
+    (trace_text
+       [
+         "Golden volume trace: every status byte a volume target answers";
+         "(two mirrored 64-block members, lines of 8, no cache).";
+         "Regenerate with: dune exec test/test_host.exe -- regen";
+       ]
+       volume_frames);
+  write_file
+    (Filename.concat dir "volume.expected")
+    (replay_volume volume_frames);
   Printf.printf "regenerated golden fixtures under %s\n" dir
 
 let () =
@@ -747,6 +841,8 @@ let () =
             Alcotest.test_case "rate limit" `Quick test_rate_limit;
             Alcotest.test_case "out-of-range addresses answer OUT_OF_RANGE"
               `Quick test_out_of_range;
+            Alcotest.test_case "unsupported commands are not reads" `Quick
+              test_read_ledger;
           ] );
         ( "arbiter",
           [
@@ -766,5 +862,6 @@ let () =
             Alcotest.test_case "basic conformance" `Quick test_golden_basic;
             Alcotest.test_case "admission conformance" `Quick
               test_golden_admission;
+            Alcotest.test_case "volume conformance" `Quick test_golden_volume;
           ] );
       ]
