@@ -18,7 +18,6 @@ type t = {
   limits_of : int -> limits;
   tstates : (int, tstate) Hashtbl.t;
   mutable responses : Proto.response list; (* newest first *)
-  mutable submitted : int;
   mutable on_response : (Proto.response -> unit) option;
 }
 
@@ -38,11 +37,9 @@ let create ?(limits_of = fun _ -> default_limits) target =
     limits_of;
     tstates = Hashtbl.create 8;
     responses = [];
-    submitted = 0;
     on_response = None;
   }
 
-let target t = t.target
 let now t = Sim.Des.now (des_of t.target)
 
 let set_policy t policy =
@@ -66,7 +63,6 @@ let tstate t tenant =
       ts
 
 let slo t ~tenant = (tstate t tenant).slo
-let weight_of t tenant = (tstate t tenant).limits.weight
 
 (* Token-bucket refill on the DES clock; [infinity] rate/burst means
    admission never rejects on rate. *)
@@ -90,9 +86,16 @@ let push t r =
 
 let set_on_response t k = t.on_response <- k
 
-let finish t ts (f : Proto.frame) ~t0 ~read ~status ~payload =
+(* A read the target serves counts in the SLO read track, even when its
+   address is out of range; an UNSUPPORTED one does not. *)
+let is_read (cmd : Proto.command) status =
+  status <> Proto.st_unsupported
+  && match cmd with Proto.Read _ | Proto.Array_read _ -> true | _ -> false
+
+let finish t ts (f : Proto.frame) ~t0 status payload =
   ts.in_flight <- ts.in_flight - 1;
-  Slo.note_completion ts.slo ~read
+  Slo.note_completion ts.slo
+    ~read:(is_read f.Proto.cmd status)
     ~ok:(not (Proto.status_failed status))
     ~latency:(now t -. t0);
   push t
@@ -103,6 +106,38 @@ let finish t ts (f : Proto.frame) ~t0 ~read ~status ~payload =
       r_phases = [ Proto.st_ok; status ];
       r_payload = payload;
     }
+
+(* {1 Runners}
+
+   One runner per target.  Each matches on the opcode only and answers
+   through [k status payload]: queued commands at completion, every
+   other command at once.  The first two arms answer UNSUPPORTED
+   (whatever the address) and OUT_OF_RANGE. *)
+
+let verdict_status = function
+  | Sero.Tamper.Intact -> Proto.st_ok
+  | Sero.Tamper.Not_heated -> Proto.st_not_heated
+  | Sero.Tamper.Tampered _ -> Proto.st_tampered
+
+(* A command's result: OK with [payload x], or [error] with none. *)
+let answer k ~error payload = function
+  | Ok x -> k Proto.st_ok (payload x)
+  | Error _ -> k error ""
+
+let no_payload () = ""
+
+(* Whether the command's address lies inside [blocks] data blocks and
+   [lines] lines. *)
+let in_bounds ~blocks ~lines (cmd : Proto.command) =
+  let below n i = 0 <= i && i < n in
+  match cmd with
+  | Proto.Read { pba } | Proto.Write { pba; _ } | Proto.Array_read { vba = pba }
+    ->
+      below blocks pba
+  | Proto.Heat { line; _ } | Proto.Verify { line } | Proto.Audit_line { line }
+    ->
+      below lines line
+  | Proto.Audit -> true
 
 let audit_summary entries =
   let intact = ref 0 and blank = ref 0 and tampered = ref 0 in
@@ -117,118 +152,60 @@ let audit_summary entries =
       (List.length entries) !intact !blank !tampered,
     !tampered )
 
-(* Whether the command's address lies inside the target's geometry.
-   Commands the target does not support pass, and answer UNSUPPORTED. *)
-let in_range target (cmd : Proto.command) =
-  let below n i = 0 <= i && i < n in
-  match target with
-  | Device q -> (
-      let dev = Sero.Queue.device q in
-      match cmd with
-      | Proto.Read { pba } | Proto.Write { pba; _ } ->
-          below (Sero.Device.config dev).Sero.Device.n_blocks pba
-      | Proto.Heat { line; _ } | Proto.Verify { line } | Proto.Audit_line { line }
-        ->
-          below (Sero.Layout.n_lines (Sero.Device.layout dev)) line
-      | Proto.Audit | Proto.Array_read _ -> true)
-  | Volume v -> (
-      let m = Sarray.Volume.map v in
-      match cmd with
-      | Proto.Read { pba = vba }
-      | Proto.Write { pba = vba; _ }
-      | Proto.Array_read { vba } ->
-          below (Sarray.Amap.n_blocks m) vba
-      | Proto.Heat { line; _ } | Proto.Audit_line { line } ->
-          below (Sarray.Amap.logical_lines m) line
-      | Proto.Verify _ | Proto.Audit -> true)
-
-(* Execute an admitted command.  Queue-path commands (read/write/heat on
-   a device target) are asynchronous: the response is pushed when the
-   queued request completes.  Electrical-path commands (verify, audit)
-   and every volume command run synchronously at submit time. *)
-let execute t ts (f : Proto.frame) =
-  let t0 = now t in
-  let tenant = f.Proto.tenant in
-  let sync ~read ~status ~payload =
-    finish t ts f ~t0 ~read ~status ~payload
-  in
-  let unsupported () =
-    sync ~read:false ~status:Proto.st_unsupported ~payload:""
-  in
-  match (t.target, f.Proto.cmd) with
-  | target, cmd when not (in_range target cmd) ->
-      let read =
-        match cmd with Proto.Read _ | Proto.Array_read _ -> true | _ -> false
-      in
-      sync ~read ~status:Proto.st_out_of_range ~payload:""
-  | Device q, Proto.Read { pba } ->
-      Sero.Queue.submit_read q ~tenant ~pba (function
-        | Ok payload -> finish t ts f ~t0 ~read:true ~status:Proto.st_ok ~payload
-        | Error _ ->
-            finish t ts f ~t0 ~read:true ~status:Proto.st_read_error ~payload:"")
-  | Device q, Proto.Write { pba; payload } ->
-      Sero.Queue.submit_write q ~tenant ~pba payload (function
-        | Ok () -> finish t ts f ~t0 ~read:false ~status:Proto.st_ok ~payload:""
-        | Error _ ->
-            finish t ts f ~t0 ~read:false ~status:Proto.st_write_refused
-              ~payload:"")
-  | Device q, Proto.Heat { line; timestamp } ->
-      let k = function
-        | Ok h ->
-            finish t ts f ~t0 ~read:false ~status:Proto.st_ok
-              ~payload:(Hash.Sha256.to_raw h)
-        | Error _ ->
-            finish t ts f ~t0 ~read:false ~status:Proto.st_heat_refused
-              ~payload:""
-      in
-      (match timestamp with
-      | None -> Sero.Queue.submit_heat_line q ~tenant ~line k
-      | Some timestamp ->
-          Sero.Queue.submit_heat_line q ~tenant ~line ~timestamp k)
-  | Device q, Proto.Verify { line } ->
-      let status =
-        match Sero.Device.verify_line (Sero.Queue.device q) ~line with
-        | Sero.Tamper.Intact -> Proto.st_ok
-        | Sero.Tamper.Not_heated -> Proto.st_not_heated
-        | Sero.Tamper.Tampered _ -> Proto.st_tampered
-      in
-      sync ~read:false ~status ~payload:""
-  | Device q, Proto.Audit ->
-      let payload, tampered =
-        audit_summary (Sero.Device.scan (Sero.Queue.device q))
-      in
-      sync ~read:false
-        ~status:(if tampered > 0 then Proto.st_tampered else Proto.st_ok)
-        ~payload
-  | Device q, Proto.Audit_line { line } ->
-      (* Audit spend is queue traffic: a background-class verify that
-         contends under the arbiter like any tenant's work, so the
-         defender's budget is charged in the same currency as the
-         foreground it displaces. *)
+(* Read, write, heat and audit-line ride the queue and contend under
+   the arbiter.  Audit spend is queue traffic too: a background-class
+   verify, so the defender's budget is charged in the same currency as
+   the foreground it displaces.  Verify and audit read the write-once
+   areas electrically, not through the sled. *)
+let run_device q ~tenant (cmd : Proto.command) k =
+  let dev = Sero.Queue.device q in
+  match cmd with
+  | Proto.Array_read _ -> k Proto.st_unsupported ""
+  | _
+    when not
+           (in_bounds
+              ~blocks:(Sero.Device.config dev).Sero.Device.n_blocks
+              ~lines:(Sero.Layout.n_lines (Sero.Device.layout dev))
+              cmd) ->
+      k Proto.st_out_of_range ""
+  | Proto.Read { pba } ->
+      Sero.Queue.submit_read q ~tenant ~pba
+        (answer k ~error:Proto.st_read_error Fun.id)
+  | Proto.Write { pba; payload } ->
+      Sero.Queue.submit_write q ~tenant ~pba payload
+        (answer k ~error:Proto.st_write_refused no_payload)
+  | Proto.Heat { line; timestamp } ->
+      Sero.Queue.submit_heat_line q ~tenant ~line ?timestamp
+        (answer k ~error:Proto.st_heat_refused Hash.Sha256.to_raw)
+  | Proto.Audit_line { line } ->
       Sero.Queue.submit_verify_line q ~tenant ~line (fun v ->
-          let status =
-            match v with
-            | Sero.Tamper.Intact -> Proto.st_ok
-            | Sero.Tamper.Not_heated -> Proto.st_not_heated
-            | Sero.Tamper.Tampered _ -> Proto.st_tampered
-          in
-          finish t ts f ~t0 ~read:false ~status ~payload:"")
-  | Device _, Proto.Array_read _ -> unsupported ()
-  | Volume v, (Proto.Read { pba = vba } | Proto.Array_read { vba }) -> (
-      match Sarray.Volume.read_block ~tenant v ~vba with
-      | Ok payload -> sync ~read:true ~status:Proto.st_ok ~payload
-      | Error _ -> sync ~read:true ~status:Proto.st_read_error ~payload:"")
-  | Volume v, Proto.Write { pba = vba; payload } -> (
-      match Sarray.Volume.write_block ~tenant v ~vba payload with
-      | Ok () -> sync ~read:false ~status:Proto.st_ok ~payload:""
-      | Error _ -> sync ~read:false ~status:Proto.st_write_refused ~payload:"")
-  | Volume v, Proto.Heat { line; timestamp } -> (
-      match Sarray.Volume.heat_line ~tenant v ~line ?timestamp () with
-      | Ok h ->
-          sync ~read:false ~status:Proto.st_ok
-            ~payload:(Hash.Sha256.to_raw h)
-      | Error _ -> sync ~read:false ~status:Proto.st_heat_refused ~payload:"")
-  | Volume v, Proto.Audit_line { line } ->
+          k (verdict_status v) "")
+  | Proto.Verify { line } ->
+      k (verdict_status (Sero.Device.verify_line dev ~line)) ""
+  | Proto.Audit ->
+      let payload, tampered = audit_summary (Sero.Device.scan dev) in
+      k (if tampered > 0 then Proto.st_tampered else Proto.st_ok) payload
+
+(* The volume facade is synchronous: every command answers at once. *)
+let run_volume v ~tenant (cmd : Proto.command) k =
+  let m = Sarray.Volume.map v in
+  match cmd with
+  | Proto.Verify _ | Proto.Audit -> k Proto.st_unsupported ""
+  | _
+    when not
+           (in_bounds ~blocks:(Sarray.Amap.n_blocks m)
+              ~lines:(Sarray.Amap.logical_lines m) cmd) ->
+      k Proto.st_out_of_range ""
+  | Proto.Read { pba = vba } | Proto.Array_read { vba } ->
+      answer k ~error:Proto.st_read_error Fun.id
+        (Sarray.Volume.read_block ~tenant v ~vba)
+  | Proto.Write { pba = vba; payload } ->
+      answer k ~error:Proto.st_write_refused no_payload
+        (Sarray.Volume.write_block ~tenant v ~vba payload)
+  | Proto.Heat { line; timestamp } ->
+      answer k ~error:Proto.st_heat_refused Hash.Sha256.to_raw
+        (Sarray.Volume.heat_line ~tenant v ~line ?timestamp ())
+  | Proto.Audit_line { line } ->
       let status =
         match Sarray.Quorum.attest_line v ~line with
         | Sarray.Quorum.Attested _ -> Proto.st_ok
@@ -237,11 +214,17 @@ let execute t ts (f : Proto.frame) =
             Proto.st_tampered
         | Sarray.Quorum.Line_offline -> Proto.st_read_error
       in
-      sync ~read:false ~status ~payload:""
-  | Volume _, (Proto.Verify _ | Proto.Audit) -> unsupported ()
+      k status ""
+
+(* Execute an admitted command on the target's runner. *)
+let execute t ts (f : Proto.frame) =
+  let t0 = now t in
+  let k status payload = finish t ts f ~t0 status payload in
+  match t.target with
+  | Device q -> run_device q ~tenant:f.Proto.tenant f.Proto.cmd k
+  | Volume v -> run_volume v ~tenant:f.Proto.tenant f.Proto.cmd k
 
 let submit_frame t (f : Proto.frame) =
-  t.submitted <- t.submitted + 1;
   let ts = tstate t f.Proto.tenant in
   match admit ts ~now:(now t) with
   | Error kind ->
@@ -267,7 +250,6 @@ let drain t =
   | Volume v -> Sarray.Volume.flush v
 
 let responses t = List.rev t.responses
-let submitted t = t.submitted
 
 let tenants t =
   Hashtbl.fold (fun k _ acc -> k :: acc) t.tstates [] |> List.sort compare

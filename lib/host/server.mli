@@ -4,15 +4,19 @@
     the tenant arbiter installed via {!Arbiter}, and per-tenant
     {!Slo} ledgers on the DES clock.
 
-    Queue-path commands on a [Device] target (read/write/heat) are
-    {e asynchronous}: [submit] returns immediately and the response is
-    recorded when the queued request completes, so many tenants'
-    commands genuinely contend under the installed arbiter.
-    Electrical-path commands (verify, audit — they read the write-once
-    areas, not the sled) and every command on a [Volume] target execute
-    synchronously at submit time; QoS for volumes is admission control
-    and per-tenant accounting only, because the volume facade is
-    synchronous.
+    Each target has one runner that matches on the opcode.  On a
+    [Device] target, read, write, heat and audit-line ride the queue and
+    are {e asynchronous}: [submit] returns immediately and the response
+    is recorded when the queued request completes, so many tenants'
+    commands genuinely contend under the installed arbiter.  Verify and
+    audit (they read the write-once areas, not the sled) execute
+    synchronously at submit time.  Every command on a [Volume] target
+    executes synchronously; QoS for volumes is admission control and
+    per-tenant accounting only, because the volume facade is
+    synchronous.  Commands a target does not serve (array-read on a
+    device; verify and audit on a volume) answer UNSUPPORTED whatever
+    their address; an address past the target's geometry answers
+    OUT_OF_RANGE.
 
     The single-tenant sync facade ({!call}) is bit-identical — payloads,
     hashes, verdicts, completion order — to calling the underlying
@@ -37,9 +41,6 @@ val create : ?limits_of:(int -> limits) -> target -> t
 (** [limits_of tenant] fixes a tenant's limits at first contact
     (default: {!default_limits} for everyone). *)
 
-val target : t -> target
-val now : t -> float
-
 val set_policy : t -> Arbiter.policy -> unit
 (** Install the tenant arbiter on the target's queue (every member
     queue for a volume). *)
@@ -61,11 +62,8 @@ val set_on_response : t -> (Proto.response -> unit) option -> unit
     {!submit_frame}; queue-path completions fire while pumping) —
     closed-loop clients use it to schedule their next command. *)
 
-val submitted : t -> int
-
 val tenants : t -> int list
 val slo : t -> tenant:int -> Slo.t
-val weight_of : t -> int -> float
 
 val report : t -> tenant:int -> Slo.report
 (** The tenant's SLO report with the queue's per-tenant energy and

@@ -334,13 +334,7 @@ let run_device_site ~attack ~adv ~def ~rng _i =
   (* Defender: scrub sweeps off the chosen planner, plus endurance
      maintenance — both background queue traffic. *)
   let planner = Sero.Scrub.planner ~policy:def.scrub_policy dev in
-  let scfg =
-    {
-      Sero.Scrub.default_config with
-      deep_verify = def.deep_verify;
-      period = def.scrub_period;
-    }
-  in
+  let scfg = { Sero.Scrub.default_config with deep_verify = def.deep_verify } in
   let stop () = Sim.Des.now des >= horizon in
   let prog =
     Sero.Queue.schedule_scrub ~config:scfg ~planner q ~period:def.scrub_period

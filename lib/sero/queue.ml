@@ -504,24 +504,34 @@ let submit_verify_line t ?(prio = Background) ?(tenant = 0) ~line k =
       let v = Device.verify_line t.dev ~line in
       fun () -> k v)
 
-let schedule_scrub ?config ?planner t ~period ~stop =
-  let prog = Scrub.progress_create () in
-  let planner =
-    match planner with Some p -> p | None -> Scrub.planner t.dev
-  in
+(* The background-maintenance driver: every [period] simulated seconds
+   until [stop ()] holds at a tick, if no request of this kind is
+   outstanding, [submit finished] may submit one and says whether it
+   did; the request calls [finished] when it completes. *)
+let every t ~period ~stop submit =
   let outstanding = ref false in
+  let finished () = outstanding := false in
   let rec arm () =
     Sim.Des.schedule t.des ~delay:period (fun _ ->
         if not (stop ()) then begin
           if not !outstanding then begin
             outstanding := true;
-            submit_scrub_line t ?config prog ~line:(Scrub.planner_next planner)
-              (fun () -> outstanding := false)
+            if not (submit finished) then outstanding := false
           end;
           arm ()
         end)
   in
-  arm ();
+  arm ()
+
+let schedule_scrub ?config ?planner t ~period ~stop =
+  let prog = Scrub.progress_create () in
+  let planner =
+    match planner with Some p -> p | None -> Scrub.planner t.dev
+  in
+  every t ~period ~stop (fun finished ->
+      submit_scrub_line t ?config prog ~line:(Scrub.planner_next planner)
+        finished;
+      true);
   prog
 
 let submit_migrate t ~line k =
@@ -532,24 +542,14 @@ let submit_migrate t ~line k =
 
 let schedule_migration t ~period ~stop =
   let migrated = ref [] in
-  let outstanding = ref false in
-  let rec arm () =
-    Sim.Des.schedule t.des ~delay:period (fun _ ->
-        if not (stop ()) then begin
-          (if not !outstanding then
-             match Device.next_due t.dev with
-             | None -> ()
-             | Some line ->
-                 outstanding := true;
-                 submit_migrate t ~line (fun r ->
-                     (match r with
-                     | Ok m -> migrated := m :: !migrated
-                     | Error _ -> ());
-                     outstanding := false));
-          arm ()
-        end)
-  in
-  arm ();
+  every t ~period ~stop (fun finished ->
+      match Device.next_due t.dev with
+      | None -> false
+      | Some line ->
+          submit_migrate t ~line (fun r ->
+              (match r with Ok m -> migrated := m :: !migrated | Error _ -> ());
+              finished ());
+          true);
   migrated
 
 let drain t =

@@ -283,21 +283,6 @@ let scrub_cases =
               "payload preserved" true
               (String.length payload > 0)
         | Error e -> Alcotest.failf "read: %a" Sero.Device.pp_read_error e);
-    Alcotest.test_case "scheduled scrub runs on the DES clock" `Quick
-      (fun () ->
-        let dev = make_dev ~ras:true () in
-        fill_line dev 1;
-        tear_line dev ~line:1 ~cells:800;
-        let des = Sim.Des.create () in
-        let passes = ref [] in
-        Sero.Scrub.schedule
-          ~config:{ Sero.Scrub.default_config with Sero.Scrub.period = 10. }
-          des dev ~on_pass:(fun r -> passes := r :: !passes);
-        Sim.Des.run ~until:35. des;
-        Alcotest.(check int) "three periods, three passes" 3 (List.length !passes);
-        Alcotest.(check (list int))
-          "first pass completed the torn line" [ 1 ]
-          (List.rev !passes |> List.hd |> fun r -> r.Sero.Scrub.torn_completed));
   ]
 
 (* {1 Recovery never weakens tamper evidence} *)
