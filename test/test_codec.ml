@@ -427,6 +427,146 @@ let sector_cases =
           [ Codec.Sector.Data; Inode; Summary; Checkpoint; Hash_meta ]);
   ]
 
+(* Every answer of [Sector.decode]/[decode_sub], pinned on crafted
+   frames.  The 532 framed bytes (16-byte header, 512-byte payload,
+   big-endian CRC-32) travel in three RS slices of 231, 231 and 70 data
+   bytes, each followed by 24 parity bytes; [sector] below is the same
+   code the sector layer uses. *)
+
+let framed_len = 532
+let slices = [ (0, 255); (255, 255); (510, 94) ] (* (offset, length) *)
+let sample_payload = String.init 512 (fun i -> Char.chr ((i * 7) land 0xFF))
+
+let sample_image () =
+  Codec.Sector.encode ~pba:4242 ~kind:Codec.Sector.Summary ~generation:9
+    sample_payload
+
+(* The framed bytes of an image (its data slices without parity). *)
+let framed_of image =
+  let b = Buffer.create framed_len in
+  List.iter
+    (fun (off, len) -> Buffer.add_string b (String.sub image off (len - 24)))
+    slices;
+  Buffer.contents b
+
+(* Re-seal the CRC over the first 528 bytes and re-parity every slice. *)
+let reseal framed =
+  let crc = Int32.to_int (Codec.Crc32.bytes framed 0 528) land 0xFFFFFFFF in
+  for k = 0 to 3 do
+    Bytes.set framed (528 + k) (Char.chr ((crc lsr (24 - (8 * k))) land 0xFF))
+  done;
+  Codec.Rs.encode_blocks rs (Bytes.to_string framed)
+
+let flip_in_slice rng image (off, len) nflips =
+  let b = Bytes.of_string image in
+  let cw = Bytes.sub b off len in
+  corrupt rng cw nflips;
+  Bytes.blit cw 0 b off len;
+  Bytes.to_string b
+
+let expect_error what want = function
+  | Ok _ -> Alcotest.failf "%s: decoded" what
+  | Error e ->
+      Alcotest.(check string) what
+        (Format.asprintf "%a" Codec.Sector.pp_error want)
+        (Format.asprintf "%a" Codec.Sector.pp_error e)
+
+let sector_error_class_cases =
+  [
+    Alcotest.test_case "up to 12 flips per slice: Ok with exact count" `Quick
+      (fun () ->
+        let image = sample_image () in
+        List.iteri
+          (fun s slice ->
+            for nflips = 0 to 12 do
+              let rng = Sim.Prng.create ((100 * s) + nflips) in
+              let bad = flip_in_slice rng image slice nflips in
+              match Codec.Sector.decode bad with
+              | Error _ -> Alcotest.failf "slice %d, %d flips: error" s nflips
+              | Ok d ->
+                  Alcotest.(check int)
+                    (Printf.sprintf "slice %d, %d flips" s nflips)
+                    nflips d.Codec.Sector.corrected_symbols;
+                  Alcotest.(check bool) "payload" true
+                    (String.equal d.Codec.Sector.payload sample_payload);
+                  Alcotest.(check int) "pba" 4242 d.Codec.Sector.pba;
+                  Alcotest.(check int) "generation" 9 d.Codec.Sector.generation
+            done)
+          slices);
+    Alcotest.test_case "13 flips in one slice: Uncorrectable" `Quick (fun () ->
+        let image = sample_image () in
+        List.iteri
+          (fun s slice ->
+            for seed = 0 to 4 do
+              let rng = Sim.Prng.create (1000 + (10 * s) + seed) in
+              expect_error
+                (Printf.sprintf "slice %d seed %d" s seed)
+                Codec.Sector.Uncorrectable
+                (Codec.Sector.decode (flip_in_slice rng image slice 13))
+            done)
+          slices);
+    Alcotest.test_case "RS-clean payload change: Bad_crc" `Quick (fun () ->
+        let image = sample_image () in
+        List.iter
+          (fun (pos, (off, len)) ->
+            (* Change one payload byte inside its slice and recompute only
+               that slice's parity: every slice is RS-clean, the CRC is not. *)
+            let b = Bytes.of_string image in
+            let data_len = len - 24 in
+            let at = off + (pos - (off / 255 * 231)) in
+            Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor 0x5A));
+            let data = Bytes.sub_string b off data_len in
+            Bytes.blit_string (Codec.Rs.parity rs data) 0 b (off + data_len) 24;
+            expect_error
+              (Printf.sprintf "payload byte %d" pos)
+              Codec.Sector.Bad_crc
+              (Codec.Sector.decode (Bytes.to_string b)))
+          [ (16, List.nth slices 0); (300, List.nth slices 1);
+            (527, List.nth slices 2) ]);
+    Alcotest.test_case "bad magic or kind under a valid CRC: Bad_header"
+      `Quick (fun () ->
+        let image = sample_image () in
+        List.iter
+          (fun (pos, v) ->
+            let framed = Bytes.of_string (framed_of image) in
+            Bytes.set framed pos (Char.chr v);
+            let patched = reseal framed in
+            (* Only slices 0 (header) and 2 (CRC) differ from the original. *)
+            let (o1, l1) = List.nth slices 1 in
+            Alcotest.(check bool) "slice 1 untouched" true
+              (String.equal (String.sub patched o1 l1) (String.sub image o1 l1));
+            expect_error
+              (Printf.sprintf "byte %d := %d" pos v)
+              Codec.Sector.Bad_header
+              (Codec.Sector.decode patched))
+          [ (0, 0x00); (1, 0x21); (2, 5); (2, 0xFF) ]);
+    Alcotest.test_case "decode_sub inside a larger buffer leaves it intact"
+      `Quick (fun () ->
+        let image = sample_image () in
+        let rng = Sim.Prng.create 77 in
+        let bad = flip_in_slice rng image (List.nth slices 1) 12 in
+        let pre = 37 and post = 11 in
+        let np = Codec.Sector.physical_bytes in
+        let buf = Bytes.make (pre + np + np + post) '\xC3' in
+        Bytes.blit_string image 0 buf pre np;
+        Bytes.blit_string bad 0 buf (pre + np) np;
+        let before = Bytes.to_string buf in
+        (match Codec.Sector.decode_sub buf ~off:pre with
+        | Ok d ->
+            Alcotest.(check int) "clean" 0 d.Codec.Sector.corrected_symbols
+        | Error _ -> Alcotest.fail "clean frame failed");
+        (match Codec.Sector.decode_sub buf ~off:(pre + np) with
+        | Ok d ->
+            Alcotest.(check int) "corrected" 12 d.Codec.Sector.corrected_symbols;
+            Alcotest.(check bool) "payload" true
+              (String.equal d.Codec.Sector.payload sample_payload)
+        | Error _ -> Alcotest.fail "corrupted frame failed");
+        expect_error "window past the end" Codec.Sector.Bad_header
+          (Codec.Sector.decode_sub buf ~off:(pre + np + post + 1));
+        Alcotest.(check bool) "buffer byte-identical" true
+          (String.equal before (Bytes.to_string buf)));
+  ]
+
 (* {1 WOM code} *)
 
 let wom_two_generations =
@@ -519,7 +659,9 @@ let () =
             [ rs_corrects; rs_overload; rs_blocks_roundtrip;
               rs_erasures_correct; rs_erasures_plus_errors ] );
       ( "sector",
-        sector_cases @ List.map qtest [ sector_roundtrip; sector_error_correction ] );
+        sector_cases
+        @ List.map qtest [ sector_roundtrip; sector_error_correction ]
+        @ sector_error_class_cases );
       ("wom", wom_cases @ List.map qtest [ wom_two_generations; wom_monotone ]);
       ("binio", binio_cases @ [ qtest binio_roundtrip ]);
     ]
