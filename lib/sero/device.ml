@@ -185,7 +185,25 @@ type t = {
   mutable fault_listeners : (unit -> unit) list;
 }
 
+(* The geometry checks [Layout.create] and [Tips.create] raise on, as
+   a result, so that a loaded image header can be refused cleanly. *)
+let validate_config c =
+  let spare_lines = c.endurance.spare_lines in
+  if c.line_exp < 1 || c.line_exp > 20 then
+    Error "Layout.create: line_exp must be in 1..20"
+  else if c.n_blocks <= 0 || c.n_blocks mod (1 lsl c.line_exp) <> 0 then
+    Error "Layout.create: n_blocks must be a positive multiple of 2^N"
+  else if spare_lines < 0 || spare_lines >= c.n_blocks lsr c.line_exp then
+    Error "Layout.create: spare_lines must be in 0..n_lines-1"
+  else if c.n_tips <= 0 then Error "Tips.create: n_tips must be positive"
+  else if c.ras.spare_tips < 0 then
+    Error "Tips.create: spares must be non-negative"
+  else Ok c
+
 let create config =
+  let config =
+    match validate_config config with Ok c -> c | Error e -> invalid_arg e
+  in
   let layout =
     Layout.create ~spare_lines:config.endurance.spare_lines
       ~n_blocks:config.n_blocks ~line_exp:config.line_exp ()

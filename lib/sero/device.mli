@@ -86,7 +86,14 @@ val default_config : ?n_blocks:int -> ?line_exp:int -> unit -> config
     Co/Pt medium, default costs, 8 erb cycles, strict locations, RAS
     off. *)
 
+val validate_config : config -> (config, string) result
+(** [Ok config] when {!create} accepts it, else [Error] naming the
+    first bad geometry field (line size, block count, spare lines, tip
+    count or spare tips) with the message {!Layout.create} or
+    {!Probe.Tips.create} would raise. *)
+
 val create : config -> t
+(** @raise Invalid_argument when {!validate_config} gives [Error]. *)
 
 val clone : ?plan:Fault.Plan.t -> t -> t
 (** Copy-on-write snapshot for fleet fan-out: the medium shares every

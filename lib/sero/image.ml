@@ -288,6 +288,11 @@ let load path =
                 endurance;
               }
             in
+            let config =
+              match Device.validate_config config with
+              | Ok c -> c
+              | Error e -> failwith e
+            in
             let dev = Device.create config in
             restore_endurance_state r dev;
             let n = Codec.Binio.R.u32 r in

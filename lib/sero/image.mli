@@ -16,4 +16,6 @@ val load : string -> (Device.t, string) result
 (** Recreate a device from [path]; the configuration (block count, line
     size, tips, material, costs) is restored from the image header.
     Only [SEROIMG4] images load; any other magic, including the retired
-    [SEROIMG3] layout, is [Error "bad magic"]. *)
+    [SEROIMG3] layout, is [Error "bad magic"].  A header that
+    {!Device.validate_config} refuses is its [Error], not an
+    exception. *)

@@ -498,6 +498,41 @@ let image_cases =
                 | Error e -> Alcotest.(check string) magic "bad magic" e
                 | Ok _ -> Alcotest.failf "%s image accepted" magic)
               [ "XXROIMG9"; "SEROIMG3" ]));
+    Alcotest.test_case "bad geometry under a valid CRC is an Error" `Quick
+      (fun () ->
+        let dev = make_dev ~n_blocks:32 () in
+        let path = Filename.temp_file "sero" ".img" in
+        Fun.protect
+          ~finally:(fun () -> Sys.remove path)
+          (fun () ->
+            Sero.Image.save dev path;
+            let data = In_channel.with_open_bin path In_channel.input_all in
+            (* Header offsets: line_exp is the u8 at 12, n_tips the
+               big-endian u16 at 13. *)
+            List.iter
+              (fun (what, patches, want) ->
+                let b = Bytes.of_string data in
+                List.iter (fun (off, v) -> Bytes.set b off (Char.chr v)) patches;
+                let tl = Bytes.length b - 4 in
+                let crc = Int32.to_int (Codec.Crc32.bytes b 0 tl) land 0xFFFFFFFF in
+                for k = 0 to 3 do
+                  Bytes.set b (tl + k) (Char.chr ((crc lsr (24 - (8 * k))) land 0xFF))
+                done;
+                Out_channel.with_open_bin path (fun oc ->
+                    Out_channel.output_bytes oc b);
+                match Sero.Image.load path with
+                | Error e -> Alcotest.(check string) what want e
+                | Ok _ -> Alcotest.failf "%s: image accepted" what
+                | exception e ->
+                    Alcotest.failf "%s: raised %s" what (Printexc.to_string e))
+              [
+                ( "line_exp 0", [ (12, 0) ],
+                  "Layout.create: line_exp must be in 1..20" );
+                ( "line_exp 9 on 32 blocks", [ (12, 9) ],
+                  "Layout.create: n_blocks must be a positive multiple of 2^N" );
+                ( "n_tips 0", [ (13, 0); (14, 0) ],
+                  "Tips.create: n_tips must be positive" );
+              ]));
   ]
   @
   (* A ≥64k-line geometry exercises the O(chunk) streaming paths at
