@@ -75,10 +75,3 @@ let member_pba t ~vba =
   (local_line t (line_of_vba t vba) * t.blocks_per_line)
   + 1
   + offset_of_vba t vba
-
-let pp ppf t =
-  Format.fprintf ppf
-    "amap{slots=%d x%d mirror, %d groups, %d lines (%d blocks/line), %d \
-     logical lines, %d data blocks}"
-    t.slots t.replication (groups t) t.member_lines t.blocks_per_line
-    (logical_lines t) (n_blocks t)

@@ -42,7 +42,6 @@ val n_blocks : t -> int
 
 (** {1 Line placement} *)
 
-val group_of_line : t -> int -> int
 val local_line : t -> int -> int
 (** Local line index of a volume line on each of its replicas. *)
 
@@ -75,5 +74,3 @@ val vba_of : t -> line:int -> offset:int -> int
 val member_pba : t -> vba:int -> int
 (** The physical block address of [vba] on {e each} of its replicas
     (identical across the mirror group by construction). *)
-
-val pp : Format.formatter -> t -> unit

@@ -235,17 +235,6 @@ let verify_volume ?(jobs = 1) v =
   in
   report_of_raw v all
 
-let verify_lines v ~lines =
-  let lines = List.sort_uniq compare lines in
-  let ll = Amap.logical_lines (Volume.map v) in
-  List.iter
-    (fun line ->
-      if line < 0 || line >= ll then
-        invalid_arg "Quorum.verify_lines: line out of range")
-    lines;
-  report_of_raw v
-    (List.map (fun line -> (line, attest_line_raw v ~line)) lines)
-
 let source_meta v ~line ~exclude_slot =
   let m = Volume.map v in
   let local = Amap.local_line m line in
@@ -315,23 +304,6 @@ let source_meta v ~line ~exclude_slot =
           | None ->
               ignore m0;
               `Unattested (List.map fst metas)))
-
-let pp_attestation ppf = function
-  | Attested { hash; voters; against } ->
-      Format.fprintf ppf "attested %s (%d for%s)"
-        (String.sub (Hash.Sha256.to_hex hash) 0 12)
-        (List.length voters)
-        (match against with
-        | [] -> ""
-        | l -> Printf.sprintf ", outvoted slots %s"
-                 (String.concat "," (List.map string_of_int l)))
-  | Tie_unattested vs ->
-      Format.fprintf ppf "UNATTESTED: %d-way tie" (List.length vs)
-  | All_convicted slots ->
-      Format.fprintf ppf "UNATTESTED: all replicas convicted (slots %s)"
-        (String.concat "," (List.map string_of_int slots))
-  | Line_not_heated -> Format.pp_print_string ppf "not heated"
-  | Line_offline -> Format.pp_print_string ppf "OFFLINE"
 
 let pp_report ppf r =
   Format.fprintf ppf

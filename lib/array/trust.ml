@@ -25,8 +25,6 @@ let create ~devices =
   if devices < 1 then invalid_arg "Trust.create: devices < 1";
   Array.make devices fresh
 
-let devices = Array.length
-
 let check t dev =
   if dev < 0 || dev >= Array.length t then
     invalid_arg (Printf.sprintf "Trust: device %d out of range" dev)
@@ -90,8 +88,3 @@ let pp_entry ppf e =
     "%s (votes %d, agree %d, diverge %d, convict %d, unreadable %d)"
     (status_string e.status) e.votes e.agreements e.divergences e.convictions
     e.unreadable
-
-let pp ppf t =
-  Array.iteri
-    (fun i e -> Format.fprintf ppf "dev %d: %a@ " i pp_entry e)
-    t

@@ -17,9 +17,7 @@ type config = {
 
 let default_config ?(slots = 4) ?(replication = 2) ?(spares = 1)
     ?(member_blocks = 128) ?(line_exp = 3) ?(seed = 42)
-    ?(ras = Sero.Device.active_ras) ?(endurance = Sero.Device.active_endurance)
-    ?(policy = Probe.Sched.Elevator) ?(read_retry_limit = 2)
-    ?(retry_backoff = 1e-4) ?(cache_capacity = Some 32) () =
+    ?(endurance = Sero.Device.active_endurance) ?(cache_capacity = Some 32) () =
   {
     slots;
     replication;
@@ -27,11 +25,11 @@ let default_config ?(slots = 4) ?(replication = 2) ?(spares = 1)
     member_blocks;
     line_exp;
     seed;
-    ras;
+    ras = Sero.Device.active_ras;
     endurance;
-    policy;
-    read_retry_limit;
-    retry_backoff;
+    policy = Probe.Sched.Elevator;
+    read_retry_limit = 2;
+    retry_backoff = 1e-4;
     cache_capacity;
   }
 
@@ -301,10 +299,6 @@ let revive_dev v ~dev =
 
 let ops v = v.ops
 
-let injector v ~dev =
-  check_dev v dev;
-  v.members.(dev).e_inj
-
 let apply_event v (e : Fault.Plan.array_event) =
   match e with
   | Fault.Plan.Member_loss { member } ->
@@ -392,9 +386,9 @@ let entry_verify v ~dev ~line =
   check_dev v dev;
   Sero.Blockio.verify v.members.(dev).e_io ~line
 
-let entry_write_span ?(tenant = 0) v ~dev ~prio ~pba payloads =
+let entry_write_span v ~dev ~prio ~pba payloads =
   check_dev v dev;
-  Sero.Queue.write_span ~prio ~tenant v.members.(dev).e_q ~pba payloads
+  Sero.Queue.write_span ~prio v.members.(dev).e_q ~pba payloads
 
 let entry_heat ?tenant v ~dev ~line ~timestamp =
   Sero.Blockio.heat ?tenant v.members.(dev).e_io ~line ~timestamp
@@ -446,7 +440,7 @@ let replica_cleared v ~dev ~local =
              local);
       ok
 
-let read_block ?(prio = Sero.Queue.Foreground) ?(tenant = 0) v ~vba =
+let read_block ?(tenant = 0) v ~vba =
   tick v;
   v.reads <- v.reads + 1;
   let line = Amap.line_of_vba v.map vba in
@@ -472,7 +466,9 @@ let read_block ?(prio = Sero.Queue.Foreground) ?(tenant = 0) v ~vba =
               go ((slot, Failed_verify) :: errs) rest
             end
             else (
-              match entry_read ~tenant v ~dev ~prio ~pba with
+              match
+                entry_read ~tenant v ~dev ~prio:Sero.Queue.Foreground ~pba
+              with
               | Ok payload ->
                   if slot <> preferred then
                     v.degraded_reads <- v.degraded_reads + 1;
@@ -481,7 +477,7 @@ let read_block ?(prio = Sero.Queue.Foreground) ?(tenant = 0) v ~vba =
       in
       go [] order
 
-let write_block ?(prio = Sero.Queue.Foreground) ?(tenant = 0) v ~vba payload =
+let write_block ?(tenant = 0) v ~vba payload =
   tick v;
   v.writes <- v.writes + 1;
   let line = Amap.line_of_vba v.map vba in
@@ -491,7 +487,8 @@ let write_block ?(prio = Sero.Queue.Foreground) ?(tenant = 0) v ~vba payload =
   List.iter
     (fun slot ->
       match
-        entry_write ~tenant v ~dev:v.slot_dev.(slot) ~prio ~pba payload
+        entry_write ~tenant v ~dev:v.slot_dev.(slot)
+          ~prio:Sero.Queue.Foreground ~pba payload
       with
       | Ok () -> incr wrote
       | Error Sero.Device.Read_only_device -> ()
@@ -589,10 +586,6 @@ let swap_in_spare v ~slot ~spare =
   log_event v
     (Printf.sprintf "slot %d rebuilt onto device %d (was device %d)" slot
        spare old)
-
-let set_spare_pool v pool =
-  List.iter (fun d -> check_dev v d) pool;
-  v.spare_pool <- pool
 
 let note_rebuilt v = v.rebuilds <- v.rebuilds + 1
 

@@ -57,11 +57,7 @@ val default_config :
   ?member_blocks:int ->
   ?line_exp:int ->
   ?seed:int ->
-  ?ras:Sero.Device.ras ->
   ?endurance:Sero.Device.endurance ->
-  ?policy:Probe.Sched.policy ->
-  ?read_retry_limit:int ->
-  ?retry_backoff:float ->
   ?cache_capacity:int option ->
   unit ->
   config
@@ -162,7 +158,6 @@ type heat_error =
           will adjudicate. *)
 
 val read_block :
-  ?prio:Sero.Queue.prio ->
   ?tenant:int ->
   t ->
   vba:int ->
@@ -179,7 +174,6 @@ val read_block :
     {!Quorum}'s job. *)
 
 val write_block :
-  ?prio:Sero.Queue.prio ->
   ?tenant:int ->
   t ->
   vba:int ->
@@ -199,9 +193,6 @@ val heat_line :
     crash between replicas) is not an error if the re-read hashes
     agree with the fresh burns. *)
 
-val is_line_heated : t -> line:int -> bool
-(** True if any serving replica has the line heated. *)
-
 val flush : t -> unit
 (** {!Sero.Blockio.sync} every member's port (flushing its cache, if
     any) and drain every member queue. *)
@@ -216,8 +207,6 @@ val install_plan : t -> Fault.Plan.array_plan -> unit
 
 val ops : t -> int
 (** Volume operations since creation (the array-event clock). *)
-
-val injector : t -> dev:int -> Fault.Injector.t option
 
 val fault_ledger : t -> string
 (** Replayable merged ledger: array events in firing order, then each
@@ -272,7 +261,6 @@ val entry_verify : t -> dev:int -> line:int -> Sero.Tamper.verdict
     medium. *)
 
 val entry_write_span :
-  ?tenant:int ->
   t ->
   dev:int ->
   prio:Sero.Queue.prio ->
@@ -284,6 +272,3 @@ val swap_in_spare : t -> slot:int -> spare:int -> unit
 (** Commit point of a rebuild: [slot] is now served by device [spare]
     (removed from the pool); the old device keeps its state as a
     carcass.  Resets the spare's trust entry. *)
-
-val set_spare_pool : t -> int list -> unit
-(** Image restore only. *)

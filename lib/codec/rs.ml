@@ -188,78 +188,15 @@ let berlekamp_massey synd =
   done;
   (Array.sub c 0 (!l + 1), !l)
 
-let decode c cw =
-  let n = Bytes.length cw in
-  if n > 255 then invalid_arg "Rs.decode: codeword too long";
-  let synd, clean = syndromes c cw in
-  if clean then Ok_clean
-  else begin
-    let locator, nerrors = berlekamp_massey synd in
-    if 2 * nerrors > c.npar then Uncorrectable
-    else begin
-      (* Chien search: roots of the locator give error positions. *)
-      let positions = ref [] in
-      for pos = 0 to n - 1 do
-        (* Position [pos] (from the left) corresponds to x = alpha^(n-1-pos);
-           it is an error location iff locator(alpha^{-(n-1-pos)}) = 0. *)
-        let xinv = Gf256.exp (255 - ((n - 1 - pos) mod 255)) in
-        let v = ref 0 and xp = ref 1 in
-        Array.iter
-          (fun coef ->
-            v := Gf256.add !v (Gf256.mul coef !xp);
-            xp := Gf256.mul !xp xinv)
-          locator;
-        if !v = 0 then positions := pos :: !positions
-      done;
-      let positions = !positions in
-      if List.length positions <> nerrors then Uncorrectable
-      else begin
-        (* Forney: error magnitudes.  Omega = (S(x) * locator(x)) mod x^npar,
-           with S(x) = sum synd_i x^i (lowest degree first). *)
-        let omega = Array.make c.npar 0 in
-        for i = 0 to c.npar - 1 do
-          let s = ref 0 in
-          for j = 0 to min i (Array.length locator - 1) do
-            s := Gf256.add !s (Gf256.mul locator.(j) synd.(i - j))
-          done;
-          omega.(i) <- !s
-        done;
-        (* Formal derivative of the locator (lowest degree first):
-           odd-degree terms survive. *)
-        let deriv =
-          Array.init
-            (max 0 (Array.length locator - 1))
-            (fun i -> if i land 1 = 0 then locator.(i + 1) else 0)
-        in
-        let eval_low p x =
-          let v = ref 0 and xp = ref 1 in
-          Array.iter
-            (fun coef ->
-              v := Gf256.add !v (Gf256.mul coef !xp);
-              xp := Gf256.mul !xp x)
-            p;
-          !v
-        in
-        let ok = ref true in
-        List.iter
-          (fun pos ->
-            let xinv = Gf256.exp (255 - ((n - 1 - pos) mod 255)) in
-            let num = eval_low omega xinv in
-            let den = eval_low deriv xinv in
-            if den = 0 then ok := false
-            else begin
-              let magnitude = Gf256.mul (Gf256.exp ((n - 1 - pos) mod 255)) (Gf256.div num den) in
-              Bytes.set cw pos
-                (Char.chr (Gf256.add (Char.code (Bytes.get cw pos)) magnitude))
-            end)
-          positions;
-        if not !ok then Uncorrectable
-        else
-          let _, clean_now = syndromes c cw in
-          if clean_now then Corrected nerrors else Uncorrectable
-      end
-    end
-  end
+(* Evaluate [p] (lowest degree first) at [x]. *)
+let eval_low p x =
+  let v = ref 0 and xp = ref 1 in
+  Array.iter
+    (fun coef ->
+      v := Gf256.add !v (Gf256.mul coef !xp);
+      xp := Gf256.mul !xp x)
+    p;
+  !v
 
 (* Erasure-and-error decoding: build the erasure-locator polynomial,
    compute the modified (Forney) syndromes, run Berlekamp-Massey on
@@ -296,15 +233,20 @@ let decode_with_erasures c cw ~erasures =
           (fun acc pos -> mul_low acc [| 1; Gf256.exp ((n - 1 - pos) mod 255) |])
           [| 1 |] erasures
       in
-      (* Modified syndromes T(x) = S(x) * gamma(x) mod x^npar. *)
-      let t = Array.make c.npar 0 in
-      for i = 0 to c.npar - 1 do
-        let s = ref 0 in
-        for j = 0 to min i (Array.length gamma - 1) do
-          s := Gf256.add !s (Gf256.mul gamma.(j) synd.(i - j))
+      (* S(x) * p(x) mod x^npar, with S(x) = sum synd_i x^i. *)
+      let times_synd p =
+        let out = Array.make c.npar 0 in
+        for i = 0 to c.npar - 1 do
+          let s = ref 0 in
+          for j = 0 to min i (Array.length p - 1) do
+            s := Gf256.add !s (Gf256.mul p.(j) synd.(i - j))
+          done;
+          out.(i) <- !s
         done;
-        t.(i) <- !s
-      done;
+        out
+      in
+      (* Modified syndromes T(x) = S(x) * gamma(x) mod x^npar. *)
+      let t = times_synd gamma in
       let e = List.length erasures in
       (* BM on the modified syndromes, skipping the first e of them. *)
       let usable = c.npar - e in
@@ -314,41 +256,25 @@ let decode_with_erasures c cw ~erasures =
       else begin
         (* Combined locator psi = sigma * gamma (lowest first). *)
         let psi = mul_low sigma gamma in
+        (* Chien search: position [pos] (from the left) corresponds to
+           x = alpha^(n-1-pos); it is an error location iff
+           psi(alpha^{-(n-1-pos)}) = 0. *)
         let positions = ref [] in
         for pos = 0 to n - 1 do
           let xinv = Gf256.exp (255 - ((n - 1 - pos) mod 255)) in
-          let v = ref 0 and xp = ref 1 in
-          Array.iter
-            (fun coef ->
-              v := Gf256.add !v (Gf256.mul coef !xp);
-              xp := Gf256.mul !xp xinv)
-            psi;
-          if !v = 0 then positions := pos :: !positions
+          if eval_low psi xinv = 0 then positions := pos :: !positions
         done;
         let positions = !positions in
         if List.length positions <> Array.length psi - 1 then Uncorrectable
         else begin
-          let omega = Array.make c.npar 0 in
-          for i = 0 to c.npar - 1 do
-            let s = ref 0 in
-            for j = 0 to min i (Array.length psi - 1) do
-              s := Gf256.add !s (Gf256.mul psi.(j) synd.(i - j))
-            done;
-            omega.(i) <- !s
-          done;
+          (* Forney: error magnitudes from Omega = (S(x) * psi(x)) mod
+             x^npar and the formal derivative of psi, whose odd-degree
+             terms survive. *)
+          let omega = times_synd psi in
           let deriv =
             Array.init
               (max 0 (Array.length psi - 1))
               (fun i -> if i land 1 = 0 then psi.(i + 1) else 0)
-          in
-          let eval_low p x =
-            let v = ref 0 and xp = ref 1 in
-            Array.iter
-              (fun coef ->
-                v := Gf256.add !v (Gf256.mul coef !xp);
-                xp := Gf256.mul !xp x)
-              p;
-            !v
           in
           let ok = ref true in
           List.iter
@@ -374,6 +300,11 @@ let decode_with_erasures c cw ~erasures =
       end
     end
   end
+
+(* With no known erasures the erasure locator is 1, the modified
+   syndromes are the plain ones, and the combined locator is the
+   Berlekamp–Massey one: classic errors-only decoding. *)
+let decode c cw = decode_with_erasures c cw ~erasures:[]
 
 let nslices c data_len =
   let m = max_data c in

@@ -29,7 +29,9 @@ type decode_outcome =
 
 val decode : code -> bytes -> decode_outcome
 (** [decode c codeword] checks and repairs a systematic codeword
-    (data followed by parity, total length at most 255) in place. *)
+    (data followed by parity, total length at most 255) in place: the
+    no-erasure case of {!decode_with_erasures}, correcting up to
+    [nparity / 2] unknown symbol errors. *)
 
 val probably_clean : code -> bytes -> off:int -> len:int -> bool
 (** Cheap probabilistic cleanliness test for the codeword at

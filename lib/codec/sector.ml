@@ -25,15 +25,6 @@ let kind_of_int = function
   | 4 -> Some Hash_meta
   | _ -> None
 
-let pp_kind ppf k =
-  Format.pp_print_string ppf
-    (match k with
-    | Data -> "data"
-    | Inode -> "inode"
-    | Summary -> "summary"
-    | Checkpoint -> "checkpoint"
-    | Hash_meta -> "hash-meta")
-
 let encode ~pba ~kind ~generation payload =
   if String.length payload > payload_bytes then
     invalid_arg "Sector.encode: payload longer than 512 bytes";
@@ -68,15 +59,45 @@ let pp_error ppf e =
     | Bad_crc -> "bad-crc"
     | Bad_header -> "bad-header")
 
+(* Parse an assembled [framed_bytes] frame — header, payload, CRC —
+   reporting [corrected] repaired symbols on success.  The CRC runs
+   over [framed] in place. *)
+let parse_frame framed ~corrected =
+  let r = Binio.R.of_string (Bytes.unsafe_to_string framed) in
+  match
+    let m = Binio.R.u16 r in
+    let kind_code = Binio.R.u8 r in
+    let _reserved = Binio.R.u8 r in
+    let pba = Binio.R.u64 r in
+    let generation = Binio.R.u32 r in
+    let payload = Binio.R.raw r payload_bytes in
+    let crc = Binio.R.u32 r in
+    (m, kind_code, pba, generation, payload, crc)
+  with
+  | exception Binio.R.Truncated -> Error Bad_header
+  | m, kind_code, pba, generation, payload, crc -> (
+      if m <> magic then Error Bad_header
+      else
+        match kind_of_int kind_code with
+        | None -> Error Bad_header
+        | Some kind ->
+            let expect =
+              Int32.to_int (Crc32.bytes framed 0 (framed_bytes - crc_bytes))
+              land 0xFFFFFFFF
+            in
+            if crc <> expect then Error Bad_crc
+            else
+              Ok { pba; kind; generation; payload; corrected_symbols = corrected })
+
 (* Fast accept for the overwhelmingly common healthy sector: every RS
    slice passes the cheap {!Rs.probably_clean} test, so the framed bytes
-   are assembled without running the full decoder, then validated by
-   header parse + CRC.  Any disagreement at any stage returns [None] and
-   the caller falls through to the full slice-by-slice decode, so every
-   error path (and the ~2^-32 residual of a corruption that fools the
-   quick syndromes) keeps the slow path's exact semantics; a wrong
-   accept additionally needs a CRC32 collision. *)
-let decode_fast_sub coded base =
+   are assembled without running the full decoder and handed to
+   {!parse_frame}.  Any [Error] there sends the caller to the full
+   slice-by-slice decode, so every error path (and the ~2^-32 residual
+   of a corruption that fools the quick syndromes) keeps the slow
+   path's exact semantics; a wrong accept additionally needs a CRC32
+   collision. *)
+let all_slices_clean coded base =
   let m = Rs.max_data rs_code and npar = Rs.nparity rs_code in
   let clean = ref true in
   let off = ref base and remaining = ref framed_bytes in
@@ -89,104 +110,52 @@ let decode_fast_sub coded base =
       remaining := !remaining - take
     end
   done;
-  if not !clean then None
-  else begin
-    let framed = Bytes.create framed_bytes in
-    let off = ref base and pos = ref 0 and remaining = ref framed_bytes in
-    while !remaining > 0 do
-      let take = min m !remaining in
-      Bytes.blit coded !off framed !pos take;
-      off := !off + take + npar;
-      pos := !pos + take;
-      remaining := !remaining - take
-    done;
-    let framed = Bytes.unsafe_to_string framed in
-    let r = Binio.R.of_string framed in
-    match
-      let m = Binio.R.u16 r in
-      let kind_code = Binio.R.u8 r in
-      let _reserved = Binio.R.u8 r in
-      let pba = Binio.R.u64 r in
-      let generation = Binio.R.u32 r in
-      let payload = Binio.R.raw r payload_bytes in
-      let crc = Binio.R.u32 r in
-      (m, kind_code, pba, generation, payload, crc)
-    with
-    | exception Binio.R.Truncated -> None
-    | m, kind_code, pba, generation, payload, crc -> (
-        if m <> magic then None
-        else
-          match kind_of_int kind_code with
-          | None -> None
-          | Some kind ->
-              let body =
-                Bytes.unsafe_of_string framed
-              in
-              let expect =
-                Int32.to_int (Crc32.bytes body 0 (framed_bytes - crc_bytes))
-                land 0xFFFFFFFF
-              in
-              if crc <> expect then None
-              else
-                Some { pba; kind; generation; payload; corrected_symbols = 0 })
-  end
+  !clean
+
+let assemble_clean coded base =
+  let m = Rs.max_data rs_code and npar = Rs.nparity rs_code in
+  let framed = Bytes.create framed_bytes in
+  let off = ref base and pos = ref 0 and remaining = ref framed_bytes in
+  while !remaining > 0 do
+    let take = min m !remaining in
+    Bytes.blit coded !off framed !pos take;
+    off := !off + take + npar;
+    pos := !pos + take;
+    remaining := !remaining - take
+  done;
+  framed
 
 (* Count corrections by decoding slice-by-slice ourselves.  Each slice
    is copied out before {!Rs.decode} corrects it in place, so [coded]
    itself — possibly a caller's shared span buffer — is never
    mutated. *)
 let decode_slow_sub coded base =
-  begin
-    let m = Rs.max_data rs_code and npar = Rs.nparity rs_code in
-    let out = Buffer.create framed_bytes in
-    let corrected = ref 0 and failed = ref false in
-    let off = ref base and remaining = ref framed_bytes in
-    while !remaining > 0 && not !failed do
-      let take = min m !remaining in
-      let cw = Bytes.sub coded !off (take + npar) in
-      (match Rs.decode rs_code cw with
-      | Rs.Ok_clean -> ()
-      | Rs.Corrected n -> corrected := !corrected + n
-      | Rs.Uncorrectable -> failed := true);
-      Buffer.add_subbytes out cw 0 take;
-      off := !off + take + npar;
-      remaining := !remaining - take
-    done;
-    if !failed then Error Uncorrectable
-    else begin
-      let framed = Buffer.contents out in
-      let body = String.sub framed 0 (framed_bytes - crc_bytes) in
-      let r = Binio.R.of_string framed in
-      match
-        let m = Binio.R.u16 r in
-        let kind_code = Binio.R.u8 r in
-        let _reserved = Binio.R.u8 r in
-        let pba = Binio.R.u64 r in
-        let generation = Binio.R.u32 r in
-        let payload = Binio.R.raw r payload_bytes in
-        let crc = Binio.R.u32 r in
-        (m, kind_code, pba, generation, payload, crc)
-      with
-      | exception Binio.R.Truncated -> Error Bad_header
-      | m, kind_code, pba, generation, payload, crc ->
-          if m <> magic then Error Bad_header
-          else
-            match kind_of_int kind_code with
-            | None -> Error Bad_header
-            | Some kind ->
-                let expect = Int32.to_int (Crc32.string body) land 0xFFFFFFFF in
-                if crc <> expect then Error Bad_crc
-                else
-                  Ok { pba; kind; generation; payload; corrected_symbols = !corrected }
-    end
-  end
+  let m = Rs.max_data rs_code and npar = Rs.nparity rs_code in
+  let framed = Bytes.create framed_bytes in
+  let corrected = ref 0 and failed = ref false in
+  let off = ref base and pos = ref 0 and remaining = ref framed_bytes in
+  while !remaining > 0 && not !failed do
+    let take = min m !remaining in
+    let cw = Bytes.sub coded !off (take + npar) in
+    (match Rs.decode rs_code cw with
+    | Rs.Ok_clean -> ()
+    | Rs.Corrected n -> corrected := !corrected + n
+    | Rs.Uncorrectable -> failed := true);
+    Bytes.blit cw 0 framed !pos take;
+    off := !off + take + npar;
+    pos := !pos + take;
+    remaining := !remaining - take
+  done;
+  if !failed then Error Uncorrectable
+  else parse_frame framed ~corrected:!corrected
 
 let decode_sub buf ~off =
   if off < 0 || off + physical_bytes > Bytes.length buf then Error Bad_header
-  else
-    match decode_fast_sub buf off with
-    | Some d -> Ok d
-    | None -> decode_slow_sub buf off
+  else if all_slices_clean buf off then
+    match parse_frame (assemble_clean buf off) ~corrected:0 with
+    | Ok _ as ok -> ok
+    | Error _ -> decode_slow_sub buf off
+  else decode_slow_sub buf off
 
 let decode image =
   if String.length image <> physical_bytes then Error Bad_header

@@ -219,10 +219,10 @@ let run_cell c =
     post_rebuild_attested = post_attested;
   }
 
-let sweep ?(grid = default_grid) () =
+let sweep () =
   (* Cells are pure functions of their parameters: byte-identical
      output for any worker count. *)
-  Sim.Pool.parallel_map run_cell grid
+  Sim.Pool.parallel_map run_cell default_grid
 
 type headline = {
   h_undetected : float;
@@ -232,8 +232,8 @@ type headline = {
   h_audit_per_line : float;
 }
 
-let headline ?(grid = default_grid) () =
-  let rows = sweep ~grid () in
+let headline () =
+  let rows = sweep () in
   let sumi f = float_of_int (List.fold_left (fun a r -> a + f r) 0 rows) in
   let cells = float_of_int (List.length rows) in
   let rebuilds_ok =

@@ -39,7 +39,10 @@ let scrub_period = 0.04
    conservative). *)
 let warmup_frac = 0.25
 
-let run_cell ?(ops = 400) ~cache_lines ~read_ahead ~theta () =
+(* Requests per cell. *)
+let ops = 400
+
+let run_cell ~cache_lines ~read_ahead ~theta =
   let dev =
     Sero.Device.create (Sero.Device.default_config ~n_blocks:256 ~line_exp:3 ())
   in
@@ -154,7 +157,7 @@ let cache_sizes = [ 0; 1; 4; 16 ]
 let read_aheads = [ 0; 8 ]
 let thetas = [ 0.0; 0.9; 0.99 ]
 
-let sweep ?(ops = 400) () =
+let sweep () =
   let cells =
     List.concat_map
       (fun cache_lines ->
@@ -167,7 +170,7 @@ let sweep ?(ops = 400) () =
   in
   Sim.Pool.parallel_map
     (fun (cache_lines, read_ahead, theta) ->
-      run_cell ~ops ~cache_lines ~read_ahead ~theta ())
+      run_cell ~cache_lines ~read_ahead ~theta)
     cells
 
 type headline = {
@@ -177,11 +180,11 @@ type headline = {
   headline_hit_pct : float;
 }
 
-let headline ?(ops = 400) () =
+let headline () =
   let cells =
     Sim.Pool.parallel_map
       (fun (cache_lines, read_ahead) ->
-        run_cell ~ops ~cache_lines ~read_ahead ~theta:0.99 ())
+        run_cell ~cache_lines ~read_ahead ~theta:0.99)
       [ (0, 0); (4, 8) ]
   in
   match cells with

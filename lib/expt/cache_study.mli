@@ -23,11 +23,6 @@ type row = {
   flush_spans : int;  (** Coalesced write-behind groups flushed. *)
 }
 
-val run_cell :
-  ?ops:int -> cache_lines:int -> read_ahead:int -> theta:float -> unit -> row
-
-val sweep : ?ops:int -> unit -> row list
-
 type headline = {
   nocache_read_ms : float;
   cached_read_ms : float;
@@ -35,7 +30,7 @@ type headline = {
   headline_hit_pct : float;
 }
 
-val headline : ?ops:int -> unit -> headline
+val headline : unit -> headline
 (** The acceptance-criterion cell pair: Zipf 0.99, 4-line cache with
     read-ahead 8, against the bare pipeline at the same skew. *)
 

@@ -24,7 +24,7 @@ let defenders =
 
 type cell = { c_defender : string; c_attack : C.attack; c_res : C.result }
 
-let frontier ?(sites = frontier_sites) () =
+let frontier () =
   List.concat_map
     (fun (c_defender, d) ->
       List.map
@@ -33,7 +33,8 @@ let frontier ?(sites = frontier_sites) () =
             c_defender;
             c_attack;
             c_res =
-              C.run ~sites ~attack:c_attack ~adversary:C.default_adversary
+              C.run ~sites:frontier_sites ~attack:c_attack
+                ~adversary:C.default_adversary
                 ~defender:d ();
           })
         C.all_attacks)
@@ -45,7 +46,7 @@ type scaling_cell = {
   s_res : C.result;
 }
 
-let scaling ?(attack = C.Selective_tamper) () =
+let scaling () =
   List.concat_map
     (fun s_budget ->
       List.map
@@ -54,7 +55,7 @@ let scaling ?(attack = C.Selective_tamper) () =
             s_budget;
             s_fleet;
             s_res =
-              C.run ~sites:s_fleet ~attack
+              C.run ~sites:s_fleet ~attack:C.Selective_tamper
                 ~adversary:
                   {
                     C.default_adversary with
@@ -81,7 +82,8 @@ type headline = {
 let quantiles_or_zero s =
   if Sim.Stats.count s > 0 then Sim.Stats.quantiles s else (0., 0., 0.)
 
-let headline ?(sites = headline_sites) () =
+let headline () =
+  let sites = headline_sites in
   let reference =
     C.merge
       (List.map

@@ -168,7 +168,7 @@ let run_trial trial =
   let on_, _ = run_arm ~trial ~health_on:true in
   { trial; records; off; on_ }
 
-let sweep ?(trials = 4) () =
+let sweep trials =
   (* Each trial is a pure function of its index, so the fan-out is
      byte-identical for any worker count. *)
   Sim.Pool.parallel_map run_trial (List.init trials Fun.id)
@@ -180,8 +180,8 @@ type headline = {
   audit_pct : float;
 }
 
-let headline ?(trials = 2) () =
-  let rows = sweep ~trials () in
+let headline () =
+  let rows = sweep 2 in
   let sum f = float_of_int (List.fold_left (fun a r -> a + f r) 0 rows) in
   let lost_off = sum (fun r -> r.off.lost) in
   let lost_on = sum (fun r -> r.on_.lost) in
@@ -209,7 +209,7 @@ let print ppf =
     n_weak epochs flips_step;
   Format.fprintf ppf "  %-6s %-8s %-14s %-26s %-10s@." "trial" "records"
     "lost off/on" "migrated (audit ok/total)" "state on";
-  let rows = sweep () in
+  let rows = sweep 4 in
   List.iter
     (fun r ->
       Format.fprintf ppf "  %-6d %-8d %3d / %-8d %d (%d/%d, %d refused)%10s%a@."

@@ -29,11 +29,6 @@ type arm_result = {
 
 type row = { trial : int; records : int; off : arm_result; on_ : arm_result }
 
-val run_trial : int -> row
-(** Both arms under the trial's damage schedule. *)
-
-val sweep : ?trials:int -> unit -> row list
-
 type headline = {
   lost_off : float;
   lost_on : float;
@@ -41,7 +36,7 @@ type headline = {
   audit_pct : float;  (** Migrated heated lines verifying [Intact]. *)
 }
 
-val headline : ?trials:int -> unit -> headline
+val headline : unit -> headline
 (** The acceptance-criterion aggregate over a small trial set — the
     bench gate's deterministic E22 metrics. *)
 

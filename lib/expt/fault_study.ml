@@ -94,7 +94,7 @@ let run_cell ?(n_blocks = 64) ?(sectors = 56) ~ber ~dead_tips ~ras_on
   in
   { row1 with deterministic = String.equal ledger1 ledger2 }
 
-let sweep ?(bers = [ 0.; 1e-4; 2e-3; 5e-3 ]) ?(dead = [ 0; 1; 2 ]) () =
+let sweep ?(dead = [ 0; 1; 2 ]) () =
   (* Each cell builds its own devices and injector from (ber, dead,
      ras, seed) alone, so the flattened grid fans out on the pool with
      sequential-identical output. *)
@@ -111,7 +111,7 @@ let sweep ?(bers = [ 0.; 1e-4; 2e-3; 5e-3 ]) ?(dead = [ 0; 1; 2 ]) () =
               (fun ras_on -> (ber, dead_tips, ras_on, plan_seed))
               [ false; true ])
           dead)
-      bers
+      [ 0.; 1e-4; 2e-3; 5e-3 ]
   in
   Sim.Pool.parallel_map
     (fun (ber, dead_tips, ras_on, plan_seed) ->
@@ -149,7 +149,8 @@ let tear_line dev ~line ~cells =
   | Ok _ | Error _ -> ());
   Sero.Device.clear_fault dev
 
-let torn_recovery ?(cut_after_cells = 700) () =
+let torn_recovery () =
+  let cut_after_cells = 700 in
   let dev = make_dev ~n_blocks:64 ~ras_on:true in
   let lay = Sero.Device.layout dev in
   fill_line dev 1;

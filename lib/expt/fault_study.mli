@@ -43,9 +43,9 @@ val run_cell :
   unit ->
   row
 
-val sweep : ?bers:float list -> ?dead:int list -> unit -> row list
-(** The full grid, each (ber, dead) cell with RAS off then on, same
-    plan seed per pair. *)
+val sweep : ?dead:int list -> unit -> row list
+(** The full grid over read BERs 0, 1e-4, 2e-3 and 5e-3, each
+    (ber, dead) cell with RAS off then on, same plan seed per pair. *)
 
 type torn_demo = {
   cut_after_cells : int;  (** ewb pulses delivered before the cut. *)
@@ -54,10 +54,6 @@ type torn_demo = {
   completion_ok : bool;
   verdict_after : Sero.Tamper.verdict;
 }
-
-val torn_recovery : ?cut_after_cells:int -> unit -> torn_demo
-(** Inject a power cut mid-burn, then classify, complete and
-    re-verify the line. *)
 
 type powercut_row = {
   lines_cut : int;

@@ -196,10 +196,10 @@ let run_fleet ?(seed = 0xE26) ?(ops = default_ops) n =
 
 type sched_cell = { s_population : int; s_fired : int; s_wheel_work : int }
 
-let default_sched_population = 8192
+let sched_population = 8192
 let sched_rounds = 3
 
-let sched_bench ?(population = default_sched_population) () =
+let sched_bench () =
   let des = Sim.Des.create () in
   let rng = Sim.Prng.create 0x5EED in
   let fired = ref 0 in
@@ -209,12 +209,12 @@ let sched_bench ?(population = default_sched_population) () =
         if round < sched_rounds then
           arm ~round:(round + 1) ~at:(at +. Sim.Prng.exponential rng 1.0))
   in
-  for _ = 1 to population do
+  for _ = 1 to sched_population do
     arm ~round:0 ~at:(Sim.Prng.uniform rng)
   done;
   Sim.Des.run des;
   {
-    s_population = population;
+    s_population = sched_population;
     s_fired = !fired;
     s_wheel_work = Sim.Des.sched_work des;
   }
@@ -230,9 +230,8 @@ type clone_cell = {
   c_segments : float;  (* private segments per idle clone (0.) *)
 }
 
-let default_clones = 256
-
-let measure_clones ?(clones = default_clones) () =
+let measure_clones () =
+  let clones = 256 in
   let g = make_golden () in
   Gc.full_major ();
   let before = (Gc.stat ()).Gc.live_words in
@@ -284,10 +283,10 @@ let headline_of ~fleet ~sched ~clone =
       /. float_of_int (max 1 fleet.f_devices);
   }
 
-let headline ?(devices = 512) ?ops () =
+let headline ?ops () =
   let clone = measure_clones () in
   let sched = sched_bench () in
-  let fleet = run_fleet ?ops devices in
+  let fleet = run_fleet ?ops 512 in
   headline_of ~fleet ~sched ~clone
 
 let print ppf =

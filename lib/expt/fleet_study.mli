@@ -23,9 +23,6 @@
 val default_ops : int
 (** Open-loop operations per device (6). *)
 
-val curve : int list
-(** Fleet sizes swept by {!print} ([64; 256; 1024; 4096]). *)
-
 type fleet = {
   f_devices : int;
   f_ops : int;  (** Operations completed across the fleet. *)
@@ -44,20 +41,11 @@ val run_fleet : ?seed:int -> ?ops:int -> int -> fleet
 
 type sched_cell = { s_population : int; s_fired : int; s_wheel_work : int }
 
-val sched_bench : ?population:int -> unit -> sched_cell
-(** Dense-event scheduler cell (default population 8192, each event
-    rescheduling itself 3 times). *)
-
 type clone_cell = {
   c_clones : int;
   c_heap_kib : float;  (** OCaml heap per idle clone; acceptance ≤ 64. *)
   c_segments : float;  (** Private segments per idle clone (0.). *)
 }
-
-val measure_clones : ?clones:int -> unit -> clone_cell
-(** Gc-measured footprint of [clones] (default 256) parked clones.
-    Call before any {!Sim.Pool} fan-out for [SERO_JOBS]-independent
-    numbers ({!print} and {!headline} do). *)
 
 type headline = {
   h_devices : int;  (** Largest fleet in the curve. *)
@@ -71,7 +59,7 @@ type headline = {
   h_cow_kib_per_device : float;
 }
 
-val headline : ?devices:int -> ?ops:int -> unit -> headline
-(** All three cells at bench scale (default 512 devices). *)
+val headline : ?ops:int -> unit -> headline
+(** All three cells at bench scale (512 devices). *)
 
 val print : Format.formatter -> unit

@@ -157,9 +157,10 @@ let specs =
     Overload;
   ]
 
-let default_ops = 40
+(* Operations per client stream. *)
+let ops = 40
 
-let sweep ?(ops = default_ops) () =
+let sweep () =
   Sim.Pool.parallel_map
     (fun spec ->
       match spec with
@@ -200,7 +201,7 @@ let headline_of rows =
        else 100. *. float_of_int over.rejected /. float_of_int offered);
   }
 
-let headline ?ops () = headline_of (sweep ?ops ())
+let headline () = headline_of (sweep ())
 
 let print ppf =
   let rows = sweep () in

@@ -89,7 +89,7 @@ let run_cell ?(ops = 240) ~policy ~depth ~scrub_period () =
 let depths = [ 1; 4; 16 ]
 let scrub_periods = [ None; Some 0.2; Some 0.04 ]
 
-let sweep ?(ops = 240) () =
+let sweep () =
   let cells =
     List.concat_map
       (fun policy ->
@@ -101,7 +101,7 @@ let sweep ?(ops = 240) () =
   in
   Sim.Pool.parallel_map
     (fun (policy, depth, scrub_period) ->
-      run_cell ~ops ~policy ~depth ~scrub_period ())
+      run_cell ~policy ~depth ~scrub_period ())
     cells
 
 let pp_hist ppf counts =

@@ -66,7 +66,8 @@ let run_policy policy ~batches ~batch_size =
   done;
   Sim.Stats.mean times
 
-let sweep ?(batches = 40) ?(batch_size = 32) () =
+let sweep () =
+  let batches = 40 and batch_size = 32 in
   let fifo = run_policy Probe.Sched.Fifo ~batches ~batch_size in
   List.map
     (fun policy ->

@@ -32,8 +32,6 @@ let create (plan : Plan.t) =
     n_events = 0;
   }
 
-let plan t = t.plan
-let ops t = t.ops
 let cut_fired t = t.cut_fired
 
 let record t ev =
@@ -125,8 +123,3 @@ let ledger_to_string t =
       Buffer.add_char buf '\n')
     (events t);
   Buffer.contents buf
-
-let pp_ledger ppf t =
-  Format.fprintf ppf "@[<v>%a@]"
-    (Format.pp_print_list pp_event)
-    (events t)

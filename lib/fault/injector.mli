@@ -29,10 +29,6 @@ type event =
 type t
 
 val create : Plan.t -> t
-val plan : t -> Plan.t
-
-val ops : t -> int
-(** Primitive operations ticked so far. *)
 
 val cut_fired : t -> bool
 
@@ -64,14 +60,8 @@ val newly_dead_tips : t -> int list
 
 (** {1 The ledger} *)
 
-val events : t -> event list
-(** All injected events, oldest first. *)
-
 val n_events : t -> int
-val pp_event : Format.formatter -> event -> unit
 
 val ledger_to_string : t -> string
 (** One event per line — the replayable record.  Two runs with the same
     plan and the same operation trace compare byte-equal. *)
-
-val pp_ledger : Format.formatter -> t -> unit

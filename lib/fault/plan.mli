@@ -50,9 +50,6 @@ type t = {
           specific burn with cell precision. *)
 }
 
-val none : t
-(** The empty plan: nothing ever goes wrong (seed 0). *)
-
 val make :
   ?seed:int ->
   ?read_ber:float ->
@@ -68,15 +65,13 @@ val make :
     @raise Invalid_argument on negative counts or probabilities outside
     [0, 1]. *)
 
-val pp : Format.formatter -> t -> unit
-
 val region_ber : t -> dot:int -> float
 (** Effective flip probability for [dot]: the first matching targeted
     region's [ber] when one covers the dot, else [read_ber]. *)
 
 val quiet : t -> bool
 (** Whether the plan can never inject anything (all rates zero, no tip
-    deaths, no power cut) — its seed aside, it is {!none}.  Quiet plans
+    deaths, no power cut) — its seed aside, it is [make ()].  Quiet plans
     need no injector: installing one anyway would still change device
     behaviour (caches bypass while a fault plan is armed), so array
     members skip them. *)
@@ -110,11 +105,9 @@ type array_plan = {
   array_seed : int;
   member_plans : (int * t) list;
       (** Explicit per-member device plans; members not listed get
-          {!none} under their derived seed. *)
+          the empty plan [make ()] under their derived seed. *)
   events : timed_event list;  (** Sorted by [at_op], stable. *)
 }
-
-val array_none : array_plan
 
 val array_make :
   ?seed:int ->
@@ -132,7 +125,7 @@ val member_seed : array_plan -> member:int -> int
 
 val member_plan : array_plan -> member:int -> t
 (** The member's device plan: its explicit entry if listed, otherwise
-    {!none}; either way the plan's seed 0 is replaced by
+    the empty plan [make ()]; either way the plan's seed 0 is replaced by
     {!member_seed} so that every member draws from its own stream. *)
 
 val pp_array_event : Format.formatter -> array_event -> unit

@@ -239,9 +239,9 @@ let stats (t : t) =
     t.nodes
     { nodes = 0; sealed_nodes = 0; entries = 0; depth = 0 }
 
-let reload ?branching dev =
+let reload dev =
   Sero.Device.refresh_heated_cache dev;
-  let t = create ?branching dev in
+  let t = create dev in
   let lay = t.lay in
   let* () = Ok () in
   let rec scan_line line =

@@ -22,7 +22,7 @@ val create : ?branching:int -> Sero.Device.t -> t
 (** A fresh index over a device.  [branching] (default 16) is the
     fan-out per level. *)
 
-val reload : ?branching:int -> Sero.Device.t -> (t, string) result
+val reload : Sero.Device.t -> (t, string) result
 (** Rebuild the node map of an existing index by scanning node headers —
     no checkpoint needed (the structure is self-describing, as a
     trustworthy index must be). *)

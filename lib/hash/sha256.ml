@@ -5,7 +5,6 @@
 
 type t = string (* 32 raw bytes, big-endian word order *)
 
-let size = 32
 let mask32 = 0xFFFFFFFF
 
 let k =

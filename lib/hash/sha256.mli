@@ -9,9 +9,6 @@
 type t
 (** An immutable 256-bit digest. *)
 
-val digest_bytes : bytes -> t
-(** [digest_bytes b] is the SHA-256 digest of the whole of [b]. *)
-
 val digest_string : string -> t
 (** [digest_string s] is the SHA-256 digest of [s]. *)
 
@@ -50,9 +47,6 @@ val pp : Format.formatter -> t -> unit
 (** Prints the first 8 hex digits followed by an ellipsis. *)
 
 val pp_full : Format.formatter -> t -> unit
-
-val size : int
-(** Digest size in bytes (32). *)
 
 val zero : t
 (** The all-zero digest, used as a sentinel for "no hash recorded". *)

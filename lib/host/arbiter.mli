@@ -23,11 +23,6 @@ type policy =
 val policy_name : policy -> string
 (** ["blind"], ["fifo"], ["wfs"] — table labels. *)
 
-val arrival_order : Sero.Queue.arbiter_view list -> int
-
-val fair_share :
-  Sero.Queue.t -> weight:(int -> float) -> Sero.Queue.arbiter_view list -> int
-
 val install : Sero.Queue.t -> policy -> unit
 (** Install the policy's arbiter on the queue (or remove it for
     [Tenant_blind]). *)

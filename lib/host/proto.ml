@@ -192,12 +192,12 @@ let encode_response r =
   put_str b (o + 1 + n) r.r_payload;
   Bytes.unsafe_to_string b
 
-let decode_response ?(off = 0) s =
+let decode_response s =
   let module R = Codec.Binio.R in
-  let r = R.of_string ~off s in
+  let r = R.of_string s in
   let len = R.u32 r in
   if R.remaining r < len then raise R.Truncated;
-  let stop = off + 4 + len in
+  let stop = 4 + len in
   let v = R.u8 r in
   if v <> version then fail "response version %d (expected %d)" v version;
   let r_op = R.u8 r in

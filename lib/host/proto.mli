@@ -84,7 +84,7 @@ val response_failed : response -> bool
 (** Any phase status other than [st_ok]. *)
 
 val encode_response : response -> string
-val decode_response : ?off:int -> string -> response * int
+val decode_response : string -> response * int
 
 (** {1 Hex trace format}
 
@@ -92,15 +92,10 @@ val decode_response : ?off:int -> string -> response * int
     blank lines ignored. *)
 
 val to_hex : string -> string
-val of_hex : string -> string
 val parse_trace : string -> frame list
 val print_trace : frame list -> string
 
 (** {1 Pretty-printing} *)
-
-val payload_descr : string -> string
-(** ["-"] when empty, else [<len>B:<8 hex of sha256>] — deterministic
-    and diffable without dumping raw bytes. *)
 
 val pp_command : Format.formatter -> command -> unit
 val pp_frame : Format.formatter -> frame -> unit

@@ -269,9 +269,9 @@ let report t ~tenant =
 
 type session = { server : t; tenant : int; mutable next_seq : int }
 
-let session ?(first_seq = 0) t ~tenant =
+let session t ~tenant =
   ignore (tstate t tenant);
-  { server = t; tenant; next_seq = first_seq }
+  { server = t; tenant; next_seq = 0 }
 
 let next_seq s = s.next_seq
 

@@ -74,9 +74,9 @@ val report : t -> tenant:int -> Slo.report
 
 type session
 
-val session : ?first_seq:int -> t -> tenant:int -> session
+val session : t -> tenant:int -> session
 (** A tenant's command stream; sequence numbers auto-increment from
-    [first_seq] (default 0). *)
+    0. *)
 
 val next_seq : session -> int
 (** The sequence number {!submit} will use next — register completion

@@ -28,7 +28,6 @@ let note_rejection t = function
   | `Rate -> t.rejected_rate <- t.rejected_rate + 1
 
 let completed t = t.completed
-let failed t = t.failed
 let rejected_depth t = t.rejected_depth
 let rejected_rate t = t.rejected_rate
 let rejected t = t.rejected_depth + t.rejected_rate
@@ -37,7 +36,6 @@ let rejection_pct t =
   let offered = t.completed + rejected t in
   if offered = 0 then 0. else 100. *. float_of_int (rejected t) /. float_of_int offered
 
-let latency t = t.latency
 let read_latency t = t.read_latency
 
 type report = {

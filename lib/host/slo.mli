@@ -17,7 +17,6 @@ val note_rejection : t -> [ `Depth | `Rate ] -> unit
 (** Record an admission-control rejection. *)
 
 val completed : t -> int
-val failed : t -> int
 val rejected_depth : t -> int
 val rejected_rate : t -> int
 val rejected : t -> int
@@ -25,7 +24,6 @@ val rejected : t -> int
 val rejection_pct : t -> float
 (** Rejections as a percentage of offered (completed + rejected). *)
 
-val latency : t -> Sim.Stats.t
 val read_latency : t -> Sim.Stats.t
 
 type report = {

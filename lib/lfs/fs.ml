@@ -1,7 +1,6 @@
 type t = { st : State.t }
 
 let state t = t.st
-let device t = t.st.State.dev
 let attach_queue t q = State.attach_queue t.st q
 let attach_cache t c = State.attach_cache t.st c
 
@@ -12,8 +11,8 @@ let format ?policy ?icache_cap ?pcache_cap dev =
   State.write_checkpoint st;
   { st }
 
-let mount ?policy ?icache_cap ?pcache_cap dev =
-  let st = State.create ?policy ?icache_cap ?pcache_cap dev in
+let mount ?policy dev =
+  let st = State.create ?policy dev in
   match State.read_latest_checkpoint dev st.State.policy with
   | None -> Error "no valid checkpoint found"
   | Some cp ->
@@ -44,7 +43,7 @@ type recovery = { fs : t; torn_completed : int list; fsck : Fsck.report }
    and flushed before the burn started, so completing the burn from
    them reproduces the interrupted hash exactly; then fsck inventories
    the heated files and a normal mount replays the latest checkpoint. *)
-let recover ?policy dev =
+let recover dev =
   let lay = Sero.Device.layout dev in
   let torn = ref [] in
   for line = 0 to Sero.Layout.usable_lines lay - 1 do
@@ -56,7 +55,7 @@ let recover ?policy dev =
     | `Not_heated | `Burned _ | `Tampered _ -> ()
   done;
   let fsck = Fsck.run dev in
-  match mount ?policy dev with
+  match mount dev with
   | Error _ as e -> e
   | Ok fs -> Ok { fs; torn_completed = List.rev !torn; fsck }
 
@@ -209,11 +208,6 @@ let is_heated t path =
   let* ino = resolve_file t path in
   guard (fun () -> file_heated t ino)
 
-let clean_now t =
-  match Cleaner.select_victim t.st with
-  | None -> 0
-  | Some seg -> Cleaner.clean_segment t.st seg
-
 type stats = {
   free_segments : int;
   heated_segments : int;
@@ -259,13 +253,3 @@ let stats t =
     metrics = st.State.metrics;
     device = Sero.Device.stats st.State.dev;
   }
-
-let pp_stats ppf s =
-  Format.fprintf ppf
-    "segments: %d free, %d closed, %d heated@ \
-     writes: %d user bytes, %d fs blocks, %d cleaner copies, %d heat \
-     relocations, %d collateral frozen@ %a"
-    s.free_segments s.closed_segments s.heated_segments
-    s.metrics.State.user_bytes_written s.metrics.State.fs_block_writes
-    s.metrics.State.cleaner_copies s.metrics.State.heat_relocations
-    s.metrics.State.collateral_frozen Sero.Device.pp_stats s.device

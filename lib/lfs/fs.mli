@@ -28,12 +28,7 @@ val format :
     on a fresh device.  [icache_cap] / [pcache_cap] bound the in-memory
     inode and pointer caches (see {!State.create}). *)
 
-val mount :
-  ?policy:State.policy ->
-  ?icache_cap:int ->
-  ?pcache_cap:int ->
-  Sero.Device.t ->
-  (t, string) result
+val mount : ?policy:State.policy -> Sero.Device.t -> (t, string) result
 (** Load the latest checkpoint. *)
 
 type recovery = {
@@ -43,7 +38,7 @@ type recovery = {
   fsck : Fsck.report;
 }
 
-val recover : ?policy:State.policy -> Sero.Device.t -> (recovery, string) result
+val recover : Sero.Device.t -> (recovery, string) result
 (** Mount after an unclean shutdown (e.g. an injected power cut):
     complete any torn burns found on the medium ({!Sero.Device.heat_line}
     is idempotent over the burned prefix), run {!Fsck} to inventory the
@@ -55,7 +50,6 @@ val unmount : t -> unit
 val sync : t -> unit
 (** Flush dirty inodes and checkpoint (keeps mounted). *)
 
-val device : t -> Sero.Device.t
 val state : t -> State.t
 (** Escape hatch for experiments and tests. *)
 
@@ -115,9 +109,6 @@ val is_heated : t -> string -> (bool, string) result
 
 (** {1 Maintenance and statistics} *)
 
-val clean_now : t -> int
-(** Force one cost-benefit cleaner sweep; returns blocks copied. *)
-
 type stats = {
   free_segments : int;
   heated_segments : int;
@@ -135,4 +126,3 @@ type stats = {
 }
 
 val stats : t -> stats
-val pp_stats : Format.formatter -> stats -> unit

@@ -60,7 +60,6 @@ let clone t medium =
 
 let medium t = t.medium
 let counters t = t.counters
-let fault t = t.fault
 let set_fault t inj = t.fault <- inj
 
 (* Count one primitive op with the injector (may raise Power_cut at the

@@ -51,7 +51,6 @@ val medium : ctx -> Medium.t
 val counters : ctx -> counters
 val reset_counters : ctx -> unit
 
-val fault : ctx -> Fault.Injector.t option
 val set_fault : ctx -> Fault.Injector.t option -> unit
 (** Install (or remove) a fault injector.  With one installed, every
     primitive op ticks the injector first (so a configured power cut

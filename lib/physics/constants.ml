@@ -55,7 +55,6 @@ let co_pt_low_temp =
 type dot_geometry = { diameter : float; thickness : float; pitch : float }
 
 let dot_200nm = { diameter = 100e-9; thickness = 22e-9; pitch = 200e-9 }
-let dot_150nm = { diameter = 75e-9; thickness = 22e-9; pitch = 150e-9 }
 let dot_100nm = { diameter = 50e-9; thickness = 22e-9; pitch = 100e-9 }
 
 let dot_volume g =

@@ -59,9 +59,6 @@ type dot_geometry = {
 val dot_200nm : dot_geometry
 (** The demonstrated 200 nm-pitch medium (Figure 5 left). *)
 
-val dot_150nm : dot_geometry
-(** The "recently realised" 150 nm-pitch medium (Section 6). *)
-
 val dot_100nm : dot_geometry
 (** The projected 100 nm pitch (50 nm dots, 50 nm spacing) giving
     10 Gbit/cm². *)

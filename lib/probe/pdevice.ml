@@ -59,9 +59,7 @@ let clone t =
 
 let medium t = t.medium
 let tips t = t.tips
-let timing t = t.timing
 let bitops t = t.bitops
-let config t = t.config
 let size t = Pmedia.Medium.size t.medium
 let elapsed t = Timing.elapsed t.timing
 let energy t = Timing.energy t.timing

@@ -48,9 +48,7 @@ val clone : t -> t
 
 val medium : t -> Pmedia.Medium.t
 val tips : t -> Tips.t
-val timing : t -> Timing.t
 val bitops : t -> Pmedia.Bitops.ctx
-val config : t -> config
 
 val size : t -> int
 (** Logical dot addresses, = medium size. *)

@@ -329,8 +329,8 @@ let run_overwrite_unheated env =
           Undetected "unheated file rewritten without trace"
       | Ok _ | Error _ -> Ineffective "overwrite did not land")
 
-let run_splice ?seed ~strict () =
-  let env = make_env ?seed ~strict () in
+let run_splice ~strict () =
+  let env = make_env ~strict () in
   run_splice_on env
 
 let run ?seed attack =

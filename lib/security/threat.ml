@@ -4,27 +4,3 @@ type constraint_ = No_physical_destruction | Limited_offline_time
 
 let attacker_capabilities =
   [ Fs_access; Device_access; Knows_formats; Bulk_eraser ]
-
-let attacker_constraints = [ No_physical_destruction; Limited_offline_time ]
-
-let pp_capability ppf c =
-  Format.pp_print_string ppf
-    (match c with
-    | Fs_access -> "root file-system access"
-    | Device_access -> "raw device access"
-    | Knows_formats -> "knows all on-medium formats"
-    | Bulk_eraser -> "bulk eraser")
-
-let pp_goal ppf g =
-  Format.pp_print_string ppf
-    (match g with
-    | Destroy_record -> "destroy a record"
-    | Alter_record -> "alter a record"
-    | Mask_record -> "mask a record"
-    | Erase_history -> "erase all history")
-
-let pp_constraint ppf c =
-  Format.pp_print_string ppf
-    (match c with
-    | No_physical_destruction -> "no visible physical destruction"
-    | Limited_offline_time -> "device offline only briefly")

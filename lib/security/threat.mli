@@ -29,9 +29,3 @@ type constraint_ =
 
 val attacker_capabilities : capability list
 (** The powerful-insider attacker has all four capabilities. *)
-
-val attacker_constraints : constraint_ list
-
-val pp_capability : Format.formatter -> capability -> unit
-val pp_goal : Format.formatter -> goal -> unit
-val pp_constraint : Format.formatter -> constraint_ -> unit

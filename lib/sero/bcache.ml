@@ -64,8 +64,6 @@ let invalidate_range t ~pba ~n =
     remove_entry t p
   done
 
-let invalidate t ~pba = invalidate_range t ~pba ~n:1
-
 let invalidate_line t ~line =
   let layout = Device.layout t.dev in
   invalidate_range t

@@ -9,7 +9,7 @@
     pipeline's existing coalescing into {!Device.read_blocks} spans.
     Writes are buffered dirty (HAMR-style media price writes far above
     reads, so batching them is the device-accurate optimisation) and
-    flushed as coalesced {!Queue.submit_write_span} groups on pressure
+    flushed as coalesced {!Queue.write_span} groups on pressure
     (dirty high-water), {!sync}, or {!heat_line}.
 
     {2 Coherence: the cache can never mask the medium}
@@ -106,13 +106,6 @@ val sync : t -> unit
 
 (** {1 Invalidation} *)
 
-val invalidate : t -> pba:int -> unit
-(** Drop any cached copy of [pba], dirty or clean, without writing it
-    back. *)
-
-val invalidate_line : t -> line:int -> unit
-val invalidate_all : t -> unit
-
 (** {1 Measurement} *)
 
 type stats = {
@@ -133,8 +126,5 @@ val stats : t -> stats
 
 val hit_rate : t -> float
 (** Hits over lookups ([nan] before the first lookup). *)
-
-val dirty_ratio : t -> float
-(** Dirty blocks over capacity, now. *)
 
 val pp_stats : Format.formatter -> t -> unit

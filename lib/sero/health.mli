@@ -21,13 +21,6 @@ type config = {
       (** Margin at or below which a line is due for evacuation. *)
 }
 
-val default_config : config
-(** alpha 0.4, retire at margin 0.5. *)
-
-val rs_budget : int
-(** Corrected symbols a sector can absorb before the next error is
-    uncorrectable: 12 per RS slice, 3 interleaved slices = 36. *)
-
 type line_health = {
   mutable ewma_corrected : float;
       (** EWMA of corrected symbols per decode (unreadable sectors count
@@ -46,9 +39,6 @@ val create : ?config:config -> n_lines:int -> unit -> t
 val copy : t -> t
 (** Independent ledger with the same per-line state — device cloning
     must not share mutable health entries. *)
-
-val config : t -> config
-val n_lines : t -> int
 
 val line : t -> line:int -> line_health
 (** The raw ledger entry (shared, mutable — used by image persistence

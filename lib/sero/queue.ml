@@ -499,8 +499,8 @@ let submit_scrub_line t ?config prog ~line k =
       Scrub.sweep_line ?config t.dev prog ~line;
       k)
 
-let submit_verify_line t ?(prio = Background) ?(tenant = 0) ~line k =
-  submit_other t prio tenant (offset_of_line t line) (fun () ->
+let submit_verify_line t ?(tenant = 0) ~line k =
+  submit_other t Background tenant (offset_of_line t line) (fun () ->
       let v = Device.verify_line t.dev ~line in
       fun () -> k v)
 

@@ -131,20 +131,6 @@ val submit_write :
   ((unit, Device.write_error) result -> unit) ->
   unit
 
-val submit_write_span :
-  t ->
-  ?prio:prio ->
-  ?tenant:int ->
-  pba:int ->
-  string array ->
-  ((unit, Device.write_error) result array -> unit) ->
-  unit
-(** Write [n] consecutive blocks starting at [pba] as {e one} request:
-    a single non-preemptive sled pass serves the whole span, which is
-    how the buffer cache flushes write-behind data without paying one
-    queue slot per dirty block.  Per-block results come back in order;
-    counted in {!coalesced_requests} as span size − 1. *)
-
 val submit_heat_line :
   t ->
   ?prio:prio ->
@@ -157,13 +143,12 @@ val submit_heat_line :
 
 val submit_verify_line :
   t ->
-  ?prio:prio ->
   ?tenant:int ->
   line:int ->
   (Tamper.verdict -> unit) ->
   unit
 (** One {!Device.verify_line} as a queued request — the audit traffic
-    class.  [prio] defaults to [Background], so sampled audits contend
+    class.  It runs at [Background] priority, so sampled audits contend
     under the arbiter like any other background work instead of jumping
     the foreground; give them a tenant of their own to meter their
     budget through per-tenant accounting. *)

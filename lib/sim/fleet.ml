@@ -25,8 +25,8 @@ let shards ?(shards = default_shards) n =
 
 let device_rng ~seed i = Prng.stream ~seed i
 
-let map ?jobs ?shards:ns ~seed n f =
-  let plan = shards ?shards:ns n in
+let map ?jobs ~seed n f =
+  let plan = shards n in
   let per_shard =
     Pool.parallel_map ?jobs
       (fun { first; count } ->
@@ -37,8 +37,8 @@ let map ?jobs ?shards:ns ~seed n f =
   in
   List.concat per_shard
 
-let map_merge ?jobs ?shards:ns ~seed n ~f ~merge =
-  let plan = shards ?shards:ns n in
+let map_merge ?jobs ~seed n ~f ~merge =
+  let plan = shards n in
   let per_shard =
     Pool.parallel_map ?jobs
       (fun { first; count } ->

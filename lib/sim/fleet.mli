@@ -24,14 +24,13 @@ val device_rng : seed:int -> int -> Prng.t
 (** The canonical per-device generator, {!Prng.stream}[ ~seed i]. *)
 
 val map :
-  ?jobs:int -> ?shards:int -> seed:int -> int -> (rng:Prng.t -> int -> 'a) -> 'a list
+  ?jobs:int -> seed:int -> int -> (rng:Prng.t -> int -> 'a) -> 'a list
 (** [map ~seed n f] is [[f ~rng:(stream ~seed 0) 0; ...; f ~rng:... (n-1)]]
     computed shard-parallel; [f] must not touch state shared across
     indices.  Byte-identical to the sequential map for any [jobs]. *)
 
 val map_merge :
   ?jobs:int ->
-  ?shards:int ->
   seed:int ->
   int ->
   f:(rng:Prng.t -> int -> 'a) ->

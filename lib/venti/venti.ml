@@ -112,8 +112,8 @@ let unframe payload =
   | exception Codec.Binio.R.Truncated -> None
   | content -> Some content
 
-let reindex ?eager_heat dev =
-  let t = create ?eager_heat dev in
+let reindex dev =
+  let t = create dev in
   let exception Stop in
   (try
      for line = 0 to Sero.Layout.n_lines t.lay - 1 do

@@ -23,7 +23,7 @@ val create : ?eager_heat:bool -> Sero.Device.t -> t
 (** Manage a device as a Venti arena.  [eager_heat] (default true)
     burns each line's hash the moment the line fills. *)
 
-val reindex : ?eager_heat:bool -> Sero.Device.t -> (t, string) result
+val reindex : Sero.Device.t -> (t, string) result
 (** Rebuild a store handle over an existing arena by re-reading and
     re-hashing every stored block — the score index is pure derived
     state, as it must be for an archival store.  Zero-length blocks are

@@ -7,17 +7,6 @@ type op =
   | Heat of string
   | Sync
 
-let pp_op ppf = function
-  | Mkdir p -> Format.fprintf ppf "mkdir %s" p
-  | Create { path; heat_group } -> Format.fprintf ppf "create %s g%d" path heat_group
-  | Write { path; offset; data } ->
-      Format.fprintf ppf "write %s @%d +%d" path offset (String.length data)
-  | Append { path; data } ->
-      Format.fprintf ppf "append %s +%d" path (String.length data)
-  | Unlink p -> Format.fprintf ppf "unlink %s" p
-  | Heat p -> Format.fprintf ppf "heat %s" p
-  | Sync -> Format.pp_print_string ppf "sync"
-
 type t = op list
 
 let magic = "SEROTRC1"
@@ -91,10 +80,6 @@ let decode s =
   | exception Codec.Binio.R.Truncated -> Error "trace truncated"
   | v -> v
 
-let save ops path =
-  Out_channel.with_open_bin path (fun oc ->
-      Out_channel.output_string oc (encode ops))
-
 let load path =
   match
     In_channel.with_open_bin path In_channel.input_all
@@ -104,22 +89,22 @@ let load path =
 
 type outcome = { applied : int; refused : int }
 
-let apply ?strategy fs op =
+let apply fs op =
   match op with
   | Mkdir p -> Lfs.Fs.mkdir fs p
   | Create { path; heat_group } -> Lfs.Fs.create fs ~heat_group path
   | Write { path; offset; data } -> Lfs.Fs.write_file fs path ~offset data
   | Append { path; data } -> Lfs.Fs.append fs path data
   | Unlink p -> Lfs.Fs.unlink fs p
-  | Heat p -> Result.map (fun _ -> ()) (Lfs.Fs.heat fs ?strategy p)
+  | Heat p -> Result.map (fun _ -> ()) (Lfs.Fs.heat fs p)
   | Sync ->
       Lfs.Fs.sync fs;
       Ok ()
 
-let replay ?strategy fs ops =
+let replay fs ops =
   List.fold_left
     (fun acc op ->
-      match apply ?strategy fs op with
+      match apply fs op with
       | Ok () -> { acc with applied = acc.applied + 1 }
       | Error _ -> { acc with refused = acc.refused + 1 })
     { applied = 0; refused = 0 }

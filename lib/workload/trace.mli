@@ -15,15 +15,10 @@ type op =
   | Heat of string
   | Sync
 
-val pp_op : Format.formatter -> op -> unit
-
 type t = op list
 
 val encode : t -> string
 val decode : string -> (t, string) result
-
-val save : t -> string -> unit
-(** Write to a file.  @raise Sys_error on IO failure. *)
 
 val load : string -> (t, string) result
 
@@ -32,7 +27,7 @@ type outcome = {
   refused : int;  (** Operations the FS rejected (e.g. writes to heated files). *)
 }
 
-val replay : ?strategy:Lfs.Heat.strategy -> Lfs.Fs.t -> t -> outcome
+val replay : Lfs.Fs.t -> t -> outcome
 (** Apply every operation in order; refusals are counted, not fatal —
     a trace captured on one policy may legitimately see refusals on
     another. *)
