@@ -246,7 +246,10 @@ let measure_clones () =
             (Probe.Pdevice.medium (Sero.Device.pdevice d)))
       0 fleet
   in
-  ignore (Sys.opaque_identity fleet);
+  (* The golden parent stays live across both readings: were it
+     collectable by the second, its unshared heap (mostly the scratch
+     set) would be subtracted from the clones' figure. *)
+  ignore (Sys.opaque_identity (g, fleet));
   let words_per_clone = float_of_int (after - before) /. float_of_int clones in
   {
     c_clones = clones;
