@@ -43,9 +43,10 @@ val run_cell :
   unit ->
   row
 
-val sweep : ?dead:int list -> unit -> row list
-(** The full grid over read BERs 0, 1e-4, 2e-3 and 5e-3, each
-    (ber, dead) cell with RAS off then on, same plan seed per pair. *)
+val sweep : unit -> row list
+(** The full grid over read BERs 0, 1e-4, 2e-3 and 5e-3 and 0, 1 or 2
+    dead tips, each (ber, dead) cell with RAS off then on, same plan
+    seed per pair. *)
 
 type torn_demo = {
   cut_after_cells : int;  (** ewb pulses delivered before the cut. *)

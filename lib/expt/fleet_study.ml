@@ -286,10 +286,10 @@ let headline_of ~fleet ~sched ~clone =
       /. float_of_int (max 1 fleet.f_devices);
   }
 
-let headline ?ops () =
+let headline () =
   let clone = measure_clones () in
   let sched = sched_bench () in
-  let fleet = run_fleet ?ops 512 in
+  let fleet = run_fleet 512 in
   headline_of ~fleet ~sched ~clone
 
 let print ppf =

@@ -59,7 +59,7 @@ type headline = {
   h_cow_kib_per_device : float;
 }
 
-val headline : ?ops:int -> unit -> headline
-(** All three cells at bench scale (512 devices). *)
+val headline : unit -> headline
+(** All three cells at bench scale (512 devices, {!default_ops} each). *)
 
 val print : Format.formatter -> unit

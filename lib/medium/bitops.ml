@@ -174,8 +174,9 @@ let primitive_ops c = c.mrb + c.mwb
    (mrb) and the heated-dot erb protocol reads, which the kernels
    reproduce in the exact same order from the same medium PRNG — so
    medium state, counters and the PRNG stream all stay bit-identical.
-   Anything else falls back to a literal per-dot loop over the scalar
-   ops. *)
+   Outside the guards the packed mrb/mwb kernels return [false] having
+   touched nothing, and the caller loops over the scalar ops; [erb_run]
+   loops over them itself. *)
 
 let check_run t start len =
   if start < 0 || len < 0 || start + len > Medium.size t.medium then
@@ -186,47 +187,6 @@ let fast_read_ok t ~start ~len =
   && Medium.run_defect_free t.medium ~start ~len
 
 let read_fast_available = fast_read_ok
-
-let mrb_run t ~start ~len ~dst ~dst_pos =
-  check_run t start len;
-  if dst_pos < 0 || dst_pos + len > Array.length dst then
-    invalid_arg "Bitops.mrb_run: destination out of range";
-  if not (fast_read_ok t ~start ~len) then
-    for k = 0 to len - 1 do
-      Array.unsafe_set dst (dst_pos + k) (Dot.to_bool (mrb t (start + k)))
-    done
-  else begin
-    t.counters.mrb <- t.counters.mrb + len;
-    let rng = Medium.rng t.medium in
-    (* Chunk boundaries are 4-dot-aligned, so the byte-at-a-time subpath
-       triggers on exactly the same dots as it would over a flat store
-       and the heated coin flips stay in address order. *)
-    Medium.iter_chunks t.medium ~write:false ~start ~len
-      (fun states ~base ~start:cstart ~len:clen ->
-        let dpos = dst_pos + (cstart - start) in
-        let k = ref 0 in
-        while !k < clen do
-          let i = cstart + !k in
-          let byte =
-            Char.code (Bigarray.Array1.unsafe_get states ((i lsr 2) - base))
-          in
-          (* A heated field has its high bit set: mask 0xAA over the byte. *)
-          if i land 3 = 0 && !k + 4 <= clen && byte land 0xAA = 0 then begin
-            let p = dpos + !k in
-            Array.unsafe_set dst p (byte land 1 <> 0);
-            Array.unsafe_set dst (p + 1) (byte land 4 <> 0);
-            Array.unsafe_set dst (p + 2) (byte land 16 <> 0);
-            Array.unsafe_set dst (p + 3) (byte land 64 <> 0);
-            k := !k + 4
-          end
-          else begin
-            let v = (byte lsr (2 * (i land 3))) land 3 in
-            Array.unsafe_set dst (dpos + !k)
-              (if v < 2 then v = 1 else Sim.Prng.bool rng);
-            incr k
-          end
-        done)
-  end
 
 (* For a state byte with no heated field (byte land 0xAA = 0), the four
    dots' logical bits (Up = code 1 = pair bit 0) reversed into the top
@@ -281,50 +241,6 @@ let mrb_run_packed t ~start ~len ~dst ~dst_pos =
           Bytes.unsafe_set dst (dpos + b) (Char.unsafe_chr v)
         done);
     true
-  end
-
-let mwb_run t ~start ~len ~src ~src_pos =
-  check_run t start len;
-  if src_pos < 0 || src_pos + len > Array.length src then
-    invalid_arg "Bitops.mwb_run: source out of range";
-  (* mwb ignores defects and draws no randomness, so the only guard is
-     the injector's per-op ticks. *)
-  if t.fault <> None then
-    for k = 0 to len - 1 do
-      mwb t (start + k) (Dot.of_bool (Array.unsafe_get src (src_pos + k)))
-    done
-  else begin
-    t.counters.mwb <- t.counters.mwb + len;
-    Medium.iter_chunks t.medium ~write:true ~start ~len
-      (fun states ~base ~start:cstart ~len:clen ->
-        let spos = src_pos + (cstart - start) in
-        let k = ref 0 in
-        while !k < clen do
-          let i = cstart + !k in
-          let idx = (i lsr 2) - base in
-          let byte = Char.code (Bigarray.Array1.unsafe_get states idx) in
-          if i land 3 = 0 && !k + 4 <= clen && byte land 0xAA = 0 then begin
-            (* No heated dot in the byte: all four fields are overwritten. *)
-            let p = spos + !k in
-            let v =
-              (if Array.unsafe_get src p then 1 else 0)
-              lor (if Array.unsafe_get src (p + 1) then 4 else 0)
-              lor (if Array.unsafe_get src (p + 2) then 16 else 0)
-              lor if Array.unsafe_get src (p + 3) then 64 else 0
-            in
-            Bigarray.Array1.unsafe_set states idx (Char.unsafe_chr v);
-            k := !k + 4
-          end
-          else begin
-            let shift = 2 * (i land 3) in
-            if (byte lsr shift) land 2 = 0 then begin
-              let v = if Array.unsafe_get src (spos + !k) then 1 else 0 in
-              Bigarray.Array1.unsafe_set states idx
-                (Char.unsafe_chr (byte land lnot (3 lsl shift) lor (v lsl shift)))
-            end;
-            incr k
-          end
-        done)
   end
 
 (* Inverse of [rev_up_nibble]: an MSB-first nibble of logical bits

@@ -77,54 +77,43 @@ val primitive_ops : counters -> int
 (** {1 Run kernels}
 
     Bulk mrb/mwb/erb over a run of consecutive dot addresses, with
-    counters charged in bulk.  Each kernel takes a fast, allocation-free
-    path only when that is semantically invisible — no fault injector
-    installed, [read_ber = 0], and (for the read kernels) the run
-    provably defect-free per {!Medium.run_defect_free} — and otherwise
-    falls back to a per-dot loop over the scalar ops, so fault and RAS
-    semantics are bit-identical either way.  The fast paths reproduce
-    the scalar path's PRNG draws (heated-dot coin flips, heated-dot erb
-    protocol reads) in the exact same order from the medium's PRNG. *)
+    counters charged in bulk.  A kernel's fast, allocation-free path is
+    only taken where it is semantically invisible: no fault injector
+    installed, [read_ber = 0], and (for the reads) the run provably
+    defect-free per {!Medium.run_defect_free}.  The fast paths reproduce
+    the scalar ops' PRNG draws (heated-dot coin flips, heated-dot erb
+    protocol reads) in the exact same order from the medium's PRNG.
 
-val mrb_run :
-  ctx -> start:int -> len:int -> dst:bool array -> dst_pos:int -> unit
-(** Magnetic read of dots [start, start+len) into [dst.(dst_pos ..)],
-    [true] = Up; equivalent to [len] calls of {!mrb} piped through
-    {!Dot.to_bool}. *)
+    Sector images travel packed, one bit per dot, MSB-first: dot
+    [start + 8b + j] is bit [7 - j] of byte [b].  The packed mrb/mwb
+    kernels serve 8-dot-aligned runs on the fast path only; anywhere
+    else they return [false] having charged, drawn and touched nothing,
+    and the caller (the probe device) issues the scalar {!mrb}/{!mwb}
+    per dot instead, so fault and RAS semantics are bit-identical
+    either way.  {!erb_run} loops over the scalar {!erb} itself. *)
 
 val read_fast_available : ctx -> start:int -> len:int -> bool
 (** Whether the read kernels' fast path is available over the run: no
     injector, [read_ber = 0], and the run defect-free.  Lets callers
-    that must not charge anything before committing (see
-    {!mrb_run_packed}) test the guards up front. *)
+    that must not charge anything before committing test the guards up
+    front. *)
 
 val mrb_run_packed :
   ctx -> start:int -> len:int -> dst:Bytes.t -> dst_pos:int -> bool
-(** Magnetic read of an 8-dot-aligned run straight into packed bytes:
-    dot [start + 8b + j] lands in bit [7 - j] of [dst.(dst_pos + b)]
-    (MSB-first, the sector image order), skipping the intermediate bool
-    array entirely.  Only available on the fast path: returns [false]
-    — having charged nothing and drawn nothing — when [start] or [len]
-    is not a multiple of 8 or {!mrb_run}'s fast-path guards fail, and
-    the caller must fall back to {!mrb_run} plus packing.  When it runs
-    it is bit- and draw-identical to that fallback. *)
-
-val mwb_run :
-  ctx -> start:int -> len:int -> src:bool array -> src_pos:int -> unit
-(** Magnetic write of [src.(src_pos ..)] over the run; equivalent to
-    [len] calls of {!mwb} via {!Dot.of_bool} (heated dots ignore the
-    write). *)
+(** Magnetic read of an 8-dot-aligned run into packed bytes from
+    [dst.(dst_pos)] on; when it runs it is bit-, counter- and
+    draw-identical to [len] calls of {!mrb} ([true] = Up).  Returns
+    [false] — having charged and drawn nothing — when [start] or [len]
+    is not a multiple of 8 or {!read_fast_available} fails. *)
 
 val mwb_run_packed :
   ctx -> start:int -> len:int -> src:Bytes.t -> src_pos:int -> bool
-(** Magnetic write of an 8-dot-aligned run straight from packed bytes
-    (bit [7 - j] of [src.(src_pos + b)] → dot [start + 8b + j], the
-    inverse of {!mrb_run_packed}'s layout).  Returns [false] — having
+(** Magnetic write of an 8-dot-aligned run from packed bytes at
+    [src.(src_pos)] on; when it runs it leaves the medium, counters and
+    PRNG exactly as [len] calls of {!mwb} would (heated dots ignore the
+    write, and mwb never draws randomness).  Returns [false] — having
     touched nothing — when [start] or [len] is not a multiple of 8 or a
-    fault injector is installed; the caller falls back to {!mwb_run}.
-    When it runs it leaves the medium, counters and PRNG exactly as
-    that fallback would (heated dots ignore the write on both paths,
-    and mwb never draws randomness). *)
+    fault injector is installed. *)
 
 val erb_run :
   ?cycles:int ->

@@ -111,8 +111,29 @@ let record_run_wear t ~start ~len =
     Tips.record_full_rows t.tips ~count:!full
   end
 
+(* With no injector and no broken or remapped tip, none of those states
+   can change mid-run, so a run needs no per-offset checks. *)
+let lean t =
+  t.fault = None
+  && Tips.remapped_count t.tips = 0
+  && Tips.all_serving_healthy t.tips
+
+(* The lean dispatch's seek, charge and wear for a whole run: each
+   batch replays the per-offset float additions in the same order from
+   unboxed locals (see {!Actuator.scan_run} and
+   {!Timing.charge_bits_times}), so the ledgers are bit-identical to
+   the per-offset loop without its boxing. *)
+let lean_pass t ~start ~len charge =
+  let n = Tips.n_tips t.tips in
+  let first_off = start / n and last_off = (start + len - 1) / n in
+  Actuator.scan_run t.actuator ~first:first_off ~last:last_off;
+  charge_many t charge ~times:(last_off - first_off + 1);
+  record_run_wear t ~start ~len
+
 (* Iterate a run scan-row by scan-row, charging [charge] once per step.
-   When every logical tip is served by a healthy unit the whole row
+   On the lean dispatch the whole run goes through [bulk] in one call,
+   visiting dots in address order exactly as the per-row loop would.
+   Otherwise, when every logical tip is served by a healthy unit, a row
    goes through [bulk] in one call (tip index is [dot - off * n], no
    per-dot [Tips.locate]); a row with any broken serving tip falls back
    to per-dot [f dot tip], which keeps the dead-tip noise semantics.
@@ -120,29 +141,13 @@ let record_run_wear t ~start ~len =
    offset either way, so the ledgers are identical on both paths. *)
 let run_offsets t ~start ~len ~charge ~bulk f =
   if len > 0 then begin
-    let n = Tips.n_tips t.tips in
-    let first_off = start / n and last_off = (start + len - 1) / n in
-    if
-      t.fault = None
-      && Tips.remapped_count t.tips = 0
-      && Tips.all_serving_healthy t.tips
-    then begin
-      (* Lean dispatch: with no injector and no broken or remapped tip,
-         none of those states can change mid-run, so the per-offset
-         checks hoist out, the seek/charge/wear loops batch (each
-         replays the per-offset float additions in the same order from
-         unboxed locals — see {!Actuator.scan_run} and
-         {!Timing.charge_bits_times} — so the ledgers are bit-identical
-         to the per-offset loop without its boxing), and the kernel
-         takes the whole run in one call, visiting dots in address
-         order exactly as the scalar path would. *)
-      Actuator.scan_run t.actuator ~first:first_off ~last:last_off;
-      charge_many t charge ~times:(last_off - first_off + 1);
-      record_run_wear t ~start ~len;
+    if lean t then begin
+      lean_pass t ~start ~len charge;
       bulk ~lo:start ~hi:(start + len - 1)
     end
-    else
-      for off = first_off to last_off do
+    else begin
+      let n = Tips.n_tips t.tips in
+      for off = start / n to (start + len - 1) / n do
         Actuator.seek t.actuator off;
         charge_one t charge;
         (* Scheduled tip deaths land at scan-row boundaries. *)
@@ -164,90 +169,104 @@ let run_offsets t ~start ~len ~charge ~bulk f =
             f dot (dot - row_base)
           done
       done
+    end
   end
 
 let random_bit t = Sim.Prng.bool (Pmedia.Medium.rng t.medium)
+
+(* Bit [k] of a packed MSB-first run buffer, i.e. dot [start + k]. *)
+let get_bit buf k =
+  Char.code (Bytes.unsafe_get buf (k lsr 3)) land (0x80 lsr (k land 7)) <> 0
+
+let set_bit buf k v =
+  let b = k lsr 3 and m = 0x80 lsr (k land 7) in
+  let c = Char.code (Bytes.unsafe_get buf b) in
+  Bytes.unsafe_set buf b (Char.unsafe_chr (if v then c lor m else c land lnot m))
+
+let packed_read_lean t ~start ~len =
+  len > 0 && start land 7 = 0 && len land 7 = 0 && lean t
+  && Pmedia.Bitops.read_fast_available t.bitops ~start ~len
+
+(* The lean branch takes the whole run in one kernel call without
+   building a closure; everything else runs the per-row dispatch, where
+   each row tries the packed kernel and, when it declines (injector,
+   defects, read noise, unaligned row), reads dot by dot through the
+   scalar mrb — the same draws in the same order either way. *)
+let read_run_packed t ~start ~len ~dst =
+  check_run t start len;
+  if Bytes.length dst < (len + 7) lsr 3 then
+    invalid_arg "Pdevice.read_run_packed: dst too short";
+  if packed_read_lean t ~start ~len then begin
+    lean_pass t ~start ~len (Cbits { read = 1; written = 0 });
+    ignore (Pmedia.Bitops.mrb_run_packed t.bitops ~start ~len ~dst ~dst_pos:0)
+  end
+  else
+    run_offsets t ~start ~len
+      ~charge:(Cbits { read = 1; written = 0 })
+      ~bulk:(fun ~lo ~hi ->
+        if
+          not
+            (start land 7 = 0
+            && Pmedia.Bitops.mrb_run_packed t.bitops ~start:lo
+                 ~len:(hi - lo + 1) ~dst ~dst_pos:((lo - start) lsr 3))
+        then
+          for dot = lo to hi do
+            set_bit dst (dot - start)
+              (Pmedia.Dot.to_bool (Pmedia.Bitops.mrb t.bitops dot))
+          done)
+      (fun dot tip ->
+        set_bit dst (dot - start)
+          (if Tips.tip_failed t.tips tip then random_bit t
+           else Pmedia.Dot.to_bool (Pmedia.Bitops.mrb t.bitops dot)));
+  true
+
+(* The mirror of [read_run_packed].  mwb draws no randomness and ignores
+   defects, so the lean branch needs no kernel guard beyond alignment;
+   a failed tip's dots receive no write. *)
+let write_run_packed t ~start ~len ~src =
+  check_run t start len;
+  if Bytes.length src < (len + 7) lsr 3 then
+    invalid_arg "Pdevice.write_run_packed: src too short";
+  if len > 0 && start land 7 = 0 && len land 7 = 0 && lean t then begin
+    lean_pass t ~start ~len (Cbits { read = 0; written = 1 });
+    ignore (Pmedia.Bitops.mwb_run_packed t.bitops ~start ~len ~src ~src_pos:0)
+  end
+  else
+    run_offsets t ~start ~len
+      ~charge:(Cbits { read = 0; written = 1 })
+      ~bulk:(fun ~lo ~hi ->
+        if
+          not
+            (start land 7 = 0
+            && Pmedia.Bitops.mwb_run_packed t.bitops ~start:lo
+                 ~len:(hi - lo + 1) ~src ~src_pos:((lo - start) lsr 3))
+        then
+          for dot = lo to hi do
+            Pmedia.Bitops.mwb t.bitops dot
+              (Pmedia.Dot.of_bool (get_bit src (dot - start)))
+          done)
+      (fun dot tip ->
+        if not (Tips.tip_failed t.tips tip) then
+          Pmedia.Bitops.mwb t.bitops dot
+            (Pmedia.Dot.of_bool (get_bit src (dot - start))));
+  true
 
 let read_run_into t ~start ~len ~dst =
   check_run t start len;
   if Array.length dst < len then
     invalid_arg "Pdevice.read_run_into: dst too short";
-  run_offsets t ~start ~len
-    ~charge:(Cbits { read = 1; written = 0 })
-    ~bulk:(fun ~lo ~hi ->
-      Pmedia.Bitops.mrb_run t.bitops ~start:lo ~len:(hi - lo + 1) ~dst
-        ~dst_pos:(lo - start))
-    (fun dot tip ->
-      let v =
-        if Tips.tip_failed t.tips tip then random_bit t
-        else Pmedia.Dot.to_bool (Pmedia.Bitops.mrb t.bitops dot)
-      in
-      dst.(dot - start) <- v)
-
-let read_run t ~start ~len =
-  let out = Array.make len false in
-  read_run_into t ~start ~len ~dst:out;
-  out
-
-(* Whole-run packed read: only when the lean dispatch AND the packed
-   kernel are both available, so the decision is made before any charge
-   or draw and a [false] return leaves the device untouched.  The
-   charge/wear sequence is the same as [read_run_into]'s lean branch,
-   and the kernel draws match the bool-array kernel's, so taking this
-   path is invisible to ledgers, counters and the PRNG stream. *)
-let read_run_packed t ~start ~len ~dst =
-  check_run t start len;
-  if Bytes.length dst < len lsr 3 then
-    invalid_arg "Pdevice.read_run_packed: dst too short";
-  len > 0 && start land 7 = 0 && len land 7 = 0
-  && t.fault = None
-  && Tips.remapped_count t.tips = 0
-  && Tips.all_serving_healthy t.tips
-  && Pmedia.Bitops.read_fast_available t.bitops ~start ~len
-  && begin
-       let n = Tips.n_tips t.tips in
-       let first_off = start / n and last_off = (start + len - 1) / n in
-       Actuator.scan_run t.actuator ~first:first_off ~last:last_off;
-       Timing.charge_bits_times t.timing ~read:1 ~written:0
-         ~times:(last_off - first_off + 1);
-       record_run_wear t ~start ~len;
-       Pmedia.Bitops.mrb_run_packed t.bitops ~start ~len ~dst ~dst_pos:0
-     end
-
-(* Whole-run packed write, the mirror of [read_run_packed]: all guards
-   are checked before any seek, charge or wear, so a [false] return
-   leaves the device untouched and the caller falls back to
-   [write_run].  mwb draws no randomness and ignores defects, so the
-   only kernel guard is the absence of a fault injector. *)
-let write_run_packed t ~start ~len ~src =
-  check_run t start len;
-  if Bytes.length src < len lsr 3 then
-    invalid_arg "Pdevice.write_run_packed: src too short";
-  len > 0 && start land 7 = 0 && len land 7 = 0
-  && t.fault = None
-  && Tips.remapped_count t.tips = 0
-  && Tips.all_serving_healthy t.tips
-  && begin
-       let n = Tips.n_tips t.tips in
-       let first_off = start / n and last_off = (start + len - 1) / n in
-       Actuator.scan_run t.actuator ~first:first_off ~last:last_off;
-       Timing.charge_bits_times t.timing ~read:0 ~written:1
-         ~times:(last_off - first_off + 1);
-       record_run_wear t ~start ~len;
-       Pmedia.Bitops.mwb_run_packed t.bitops ~start ~len ~src ~src_pos:0
-     end
+  let buf = Bytes.create ((len + 7) lsr 3) in
+  ignore (read_run_packed t ~start ~len ~dst:buf);
+  for k = 0 to len - 1 do
+    Array.unsafe_set dst k (get_bit buf k)
+  done
 
 let write_run t ~start bits =
   let len = Array.length bits in
   check_run t start len;
-  run_offsets t ~start ~len
-    ~charge:(Cbits { read = 0; written = 1 })
-    ~bulk:(fun ~lo ~hi ->
-      Pmedia.Bitops.mwb_run t.bitops ~start:lo ~len:(hi - lo + 1) ~src:bits
-        ~src_pos:(lo - start))
-    (fun dot tip ->
-      if not (Tips.tip_failed t.tips tip) then
-        Pmedia.Bitops.mwb t.bitops dot (Pmedia.Dot.of_bool bits.(dot - start)))
+  let buf = Bytes.make ((len + 7) lsr 3) '\x00' in
+  Array.iteri (fun k v -> if v then set_bit buf k true) bits;
+  ignore (write_run_packed t ~start ~len ~src:buf)
 
 let heat_run t ~start pattern =
   let len = Array.length pattern in

@@ -53,39 +53,41 @@ val bitops : t -> Pmedia.Bitops.ctx
 val size : t -> int
 (** Logical dot addresses, = medium size. *)
 
-val read_run : t -> start:int -> len:int -> bool array
-(** Magnetic read; [true] = up = logical 1.  Heated or failed-tip dots
-    yield random values, as the physics dictates. *)
+val read_run_packed : t -> start:int -> len:int -> dst:Bytes.t -> bool
+(** Magnetic read of dots [start, start+len) into packed MSB-first bytes:
+    dot [start + 8b + j] lands in bit [7 - j] of [dst.(b)], [1] = up =
+    logical 1; bits past [len] in a partial last byte are unspecified.
+    Heated or failed-tip dots yield random values, as the physics
+    dictates.  On the lean dispatch ({!packed_read_lean}) the whole run
+    is one kernel call; otherwise the run goes scan row by scan row,
+    honouring injector ticks, tip deaths at row boundaries, remap
+    settles and dead-tip noise.  Always returns [true].
+    @raise Invalid_argument if the run leaves the device or [dst] holds
+    fewer than [ceil (len/8)] bytes. *)
+
+val packed_read_lean : t -> start:int -> len:int -> bool
+(** Whether {!read_run_packed} would take its whole-run lean branch: a
+    non-empty 8-dot-aligned run, no fault injector, no broken or
+    remapped tip, zero read noise and a defect-free run.  Callers that
+    batch several blocks into one run test this first, so a faulty
+    device keeps its block-by-block charge and retry order. *)
 
 val read_run_into : t -> start:int -> len:int -> dst:bool array -> unit
-(** {!read_run} into a caller-owned buffer (filling [dst.(0..len-1)]) —
-    the allocation-free form for hot paths that reuse a scratch array.
+(** {!read_run_packed} unpacked into [dst.(0..len-1)], [true] = up.
     @raise Invalid_argument if [dst] holds fewer than [len] cells. *)
 
-val read_run_packed : t -> start:int -> len:int -> dst:Bytes.t -> bool
-(** Magnetic read of an 8-dot-aligned run straight into packed
-    MSB-first bytes (dot [start + 8b + j] → bit [7 - j] of
-    [dst.(b)]), skipping the bool-array representation.  Only taken
-    when both the healthy-tips dispatch and the defect-free read kernel
-    are available; returns [false] with the device completely untouched
-    otherwise, and the caller falls back to {!read_run_into} plus
-    packing.  When taken, ledgers, wear, counters and PRNG draws are
-    identical to the fallback.
-    @raise Invalid_argument if [dst] holds fewer than [len/8] bytes. *)
+val write_run_packed : t -> start:int -> len:int -> src:Bytes.t -> bool
+(** Magnetic write of dots [start, start+len) from packed MSB-first
+    bytes (bit [7 - j] of [src.(b)] → dot [start + 8b + j]), the mirror
+    of {!read_run_packed}.  Heated dots ignore the write and dots under
+    failed tips receive none.  The lean branch needs an 8-dot-aligned
+    run, no injector and no broken or remapped tip; everything else
+    goes scan row by scan row.  Always returns [true].
+    @raise Invalid_argument if the run leaves the device or [src] holds
+    fewer than [ceil (len/8)] bytes. *)
 
 val write_run : t -> start:int -> bool array -> unit
-(** Magnetic write of consecutive dots. *)
-
-val write_run_packed : t -> start:int -> len:int -> src:Bytes.t -> bool
-(** Magnetic write of an 8-dot-aligned run straight from packed
-    MSB-first bytes (bit [7 - j] of [src.(b)] → dot [start + 8b + j]),
-    the mirror of {!read_run_packed}.  Only taken on the healthy-tips
-    dispatch with no fault injector; returns [false] with the device
-    completely untouched otherwise, and the caller falls back to
-    {!write_run}.  When taken, ledgers, wear, counters and medium state
-    are identical to the fallback (mwb draws no randomness and skips
-    heated dots on both paths).
-    @raise Invalid_argument if [src] holds fewer than [len/8] bytes. *)
+(** {!write_run_packed} of the bits packed from a bool array. *)
 
 val heat_run : t -> start:int -> bool array -> unit
 (** Electrical write: heats dot [start + i] wherever the pattern is

@@ -96,16 +96,15 @@ type migration = {
   m_timestamp : float;
 }
 
-(* Reusable bit buffers for the sector and write-once hot paths; a
-   block image is 38 KB as a bool array, too much to allocate per read.
-   Every buffer size is a layout constant, so scratch sets are
+(* Reusable buffers for the sector and write-once hot paths; the
+   write-once area's erb result is 32 KB as a bool array, too much to
+   allocate per read.  Every buffer size is a layout constant, so scratch sets are
    interchangeable between devices: they live in a per-domain free list
    and a device only holds one from first I/O until [park] — a parked
    or freshly-cloned device pins no transient buffers.  Contents are
    dead between device calls (always fully overwritten before being
    read), so recycling is semantically invisible. *)
 type scratch = {
-  sc_block : bool array;
   sc_wo : bool array;
   sc_probe : bool array; (* the 2 dots of one cell, escalation re-probes *)
   sc_image : Bytes.t; (* one packed block image, block_dots / 8 *)
@@ -123,7 +122,6 @@ let scratch_acquire () =
       s
   | [] ->
       {
-        sc_block = Array.make Layout.block_dots false;
         sc_wo = Array.make Layout.wo_area_dots false;
         sc_probe = Array.make 2 false;
         sc_image = Bytes.create (Layout.block_dots / 8);
@@ -160,9 +158,9 @@ type t = {
      given back by [park].  Never live across a nested device call. *)
   mutable scratch : scratch option;
   (* Payload-sized memory traffic on paths that had to materialise a
-     fresh buffer (bool-array fallbacks, retained string copies).  The
-     zero-copy read/write paths leave it untouched, which is what the
-     bench counters assert. *)
+     fresh buffer (retained string copies).  The zero-copy read/write
+     paths leave it untouched, which is what the bench counters
+     assert. *)
   mutable bytes_copied : int;
   mutable reads : int;
   mutable writes : int;
@@ -436,43 +434,6 @@ let service_failed_tips t =
     !n
   end
 
-(* Bits are bytes scanned MSB-first, matching Codec.Manchester. *)
-let bits_of_string_into out s =
-  let n = String.length s in
-  for i = 0 to n - 1 do
-    let v = Char.code (String.unsafe_get s i) in
-    let base = 8 * i in
-    Array.unsafe_set out base (v land 0x80 <> 0);
-    Array.unsafe_set out (base + 1) (v land 0x40 <> 0);
-    Array.unsafe_set out (base + 2) (v land 0x20 <> 0);
-    Array.unsafe_set out (base + 3) (v land 0x10 <> 0);
-    Array.unsafe_set out (base + 4) (v land 0x08 <> 0);
-    Array.unsafe_set out (base + 5) (v land 0x04 <> 0);
-    Array.unsafe_set out (base + 6) (v land 0x02 <> 0);
-    Array.unsafe_set out (base + 7) (v land 0x01 <> 0)
-  done;
-  out
-
-(* Pack a bool array into MSB-first bytes, into a caller-owned buffer
-   (the bridge from the bool-array fallback read to the packed image
-   the decoders consume). *)
-let pack_bits_into bits (dst : Bytes.t) =
-  let n = Bytes.length dst in
-  for byte = 0 to n - 1 do
-    let base = 8 * byte in
-    let v =
-      (if Array.unsafe_get bits base then 0x80 else 0)
-      lor (if Array.unsafe_get bits (base + 1) then 0x40 else 0)
-      lor (if Array.unsafe_get bits (base + 2) then 0x20 else 0)
-      lor (if Array.unsafe_get bits (base + 3) then 0x10 else 0)
-      lor (if Array.unsafe_get bits (base + 4) then 0x08 else 0)
-      lor (if Array.unsafe_get bits (base + 5) then 0x04 else 0)
-      lor (if Array.unsafe_get bits (base + 6) then 0x02 else 0)
-      lor if Array.unsafe_get bits (base + 7) then 0x01 else 0
-    in
-    Bytes.unsafe_set dst byte (Char.unsafe_chr v)
-  done
-
 (* {1 Magnetic sector ops} *)
 
 type write_error = Reserved_hash_block | In_heated_line | Read_only_device
@@ -499,21 +460,12 @@ let frame_kind pba t =
   if Layout.is_hash_block t.layout pba then Codec.Sector.Hash_meta
   else Codec.Sector.Data
 
-(* Write a block image at a physical first dot, preferring the packed
-   kernel (which consumes the encoded image bytes directly); the
-   bool-array unpack only happens when the kernel declines (faults,
-   broken or remapped tips).  Both sides leave identical medium state,
-   ledgers and wear. *)
+(* Write a block image at a physical first dot, straight from the
+   encoded image bytes. *)
 let write_image_at t ~start image =
-  if
-    not
-      (Probe.Pdevice.write_run_packed t.pdevice ~start ~len:Layout.block_dots
-         ~src:image)
-  then begin
-    t.bytes_copied <- t.bytes_copied + Bytes.length image;
-    Probe.Pdevice.write_run t.pdevice ~start
-      (bits_of_string_into (scratch t).sc_block (Bytes.unsafe_to_string image))
-  end
+  ignore
+    (Probe.Pdevice.write_run_packed t.pdevice ~start ~len:Layout.block_dots
+       ~src:image)
 
 let unsafe_write_block t ~pba payload =
   t.writes <- t.writes + 1;
@@ -532,24 +484,12 @@ let unsafe_write_raw t ~pba image =
   write_image_at t ~start:(block_start t pba) (Bytes.unsafe_of_string image);
   notify_mutation t ~pba ~n:1
 
-(* Read the raw image of [pba] into [scratch_image].  The packed read
-   skips the bool-array unpack/repack round trip; it declines (touching
-   nothing) under faults, broken tips, defects or read noise, and the
-   classic path takes over and packs into the same scratch. *)
+(* Read the raw image of [pba] into [sc_image]. *)
 let read_image_into_scratch t ~pba =
   t.reads <- t.reads + 1;
-  let sc = scratch t in
-  let start = block_start t pba in
-  if
-    not
-      (Probe.Pdevice.read_run_packed t.pdevice ~start ~len:Layout.block_dots
-         ~dst:sc.sc_image)
-  then begin
-    Probe.Pdevice.read_run_into t.pdevice ~start ~len:Layout.block_dots
-      ~dst:sc.sc_block;
-    t.bytes_copied <- t.bytes_copied + Bytes.length sc.sc_image;
-    pack_bits_into sc.sc_block sc.sc_image
-  end
+  ignore
+    (Probe.Pdevice.read_run_packed t.pdevice ~start:(block_start t pba)
+       ~len:Layout.block_dots ~dst:(scratch t).sc_image)
 
 let read_raw_view t ~pba =
   read_image_into_scratch t ~pba;
@@ -630,7 +570,7 @@ let read_block t ~pba =
       if not t.config.ras.ras_enabled then first else ras_reread t ~pba first
 
 (* Coalesced sector reads: [n] consecutive blocks in one sled pass.
-   When the packed whole-span kernel is available (healthy tips, no
+   When the span is on the lean packed dispatch (healthy tips, no
    faults, defect-free, and block boundaries aligned with scan rows so
    the per-offset charges land exactly as n single reads would), the
    span is read in one [read_run_packed] and sliced into frames;
@@ -651,14 +591,14 @@ let read_blocks t ~pba ~n =
   let sc = scratch t in
   if n > 1 && Bytes.length sc.sc_span < n * bytes_per_block then
     sc.sc_span <- Bytes.create (n * bytes_per_block);
+  let start = Layout.block_first_dot t.layout pba in
   if
     n > 1
     && Layout.block_dots mod t.config.n_tips = 0
     && span_identity t ~pba ~n
-    && Probe.Pdevice.read_run_packed t.pdevice
-         ~start:(Layout.block_first_dot t.layout pba)
-         ~len ~dst:sc.sc_span
+    && Probe.Pdevice.packed_read_lean t.pdevice ~start ~len
   then begin
+    ignore (Probe.Pdevice.read_run_packed t.pdevice ~start ~len ~dst:sc.sc_span);
     t.reads <- t.reads + n;
     Array.init n (fun k ->
         let pba = pba + k in

@@ -188,10 +188,11 @@ val read_blocks :
   t -> pba:int -> n:int -> (string, read_error) result array
 (** [n] consecutive sectors [pba .. pba+n-1] in one sled pass — the
     coalescing primitive behind {!Queue}'s adjacent-request batching.
-    When the bulk packed kernel applies (healthy tips, no fault
-    injector, zero read noise, defect-free span, and block boundaries
-    aligned on scan rows) the whole span is transferred in a single
-    run; otherwise every block falls back to {!read_block}.  Results,
+    When the span is on the lean packed dispatch
+    ({!Probe.Pdevice.packed_read_lean}: healthy tips, no fault
+    injector, zero read noise, defect-free span) and block boundaries
+    are aligned on scan rows, the whole span is transferred in a single
+    run; otherwise every block goes through {!read_block}.  Results,
     counters, ledger charges and PRNG draws are identical to calling
     {!read_block} sequentially; the only possible divergence is the
     position of RAS retry re-reads for a corrupted non-blank frame
@@ -372,8 +373,9 @@ val read_raw_view : t -> pba:int -> Bytes.t
 
 val bytes_copied : t -> int
 (** Running total of payload-sized bytes the device had to copy into
-    freshly materialised buffers (bool-array fallback paths, retained
-    {!unsafe_read_raw} strings).  The packed zero-copy read/write paths
+    freshly materialised buffers: the retained {!unsafe_read_raw}
+    strings.  Sector reads and writes move the packed image between the
+    medium and the device's scratch buffer on every dispatch path, and
     leave it untouched — the bench counters assert exactly that. *)
 
 val unsafe_forge_burn :

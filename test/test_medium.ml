@@ -381,29 +381,57 @@ let equiv_arb =
 
 let clamp_run start len_raw = (start, min len_raw (256 - start))
 
-let mrb_run_equiv =
-  QCheck.Test.make ~name:"mrb_run == per-dot mrb loop" ~count:300 equiv_arb
-    (fun (seeds, modes, ops, ((start, len_raw), _cycles)) ->
-      let start, len = clamp_run start len_raw in
-      let ((_, ctx1) as t1), ((_, ctx2) as t2) = make_twin seeds modes ops in
-      let d1 = Array.make (len + 1) false and d2 = Array.make (len + 1) false in
-      Pmedia.Bitops.mrb_run ctx1 ~start ~len ~dst:d1 ~dst_pos:1;
-      for k = 0 to len - 1 do
-        d2.(k + 1) <- Pmedia.Dot.to_bool (Pmedia.Bitops.mrb ctx2 (start + k))
-      done;
-      d1 = d2 && twins_agree t1 t2)
+(* Two runs in three are snapped to 8-dot alignment, so the packed
+   kernels both run (fault-free, clean, aligned) and decline (injector,
+   defects, read noise or an unaligned run). *)
+let packed_run (start, len_raw) sel =
+  let start, len = clamp_run start len_raw in
+  if sel = 3 then (start, len) else (start land lnot 7, len land lnot 7)
 
-let mwb_run_equiv =
-  QCheck.Test.make ~name:"mwb_run == per-dot mwb loop" ~count:300 equiv_arb
-    (fun (seeds, modes, ops, ((start, len_raw), _cycles)) ->
-      let start, len = clamp_run start len_raw in
+let aligned start len = start land 7 = 0 && len land 7 = 0
+
+(* The packed kernel against the scalar op it batches, dot by dot in
+   address order.  Where the kernel runs, the bytes it wrote, the
+   medium, the counters and the PRNG position must equal the scalar
+   twin's; where it declines, both contexts must still be untouched. *)
+let mrb_run_packed_equiv =
+  QCheck.Test.make ~name:"mrb_run_packed == per-dot mrb loop" ~count:300
+    equiv_arb (fun (seeds, modes, ops, (run, sel)) ->
+      let start, len = packed_run run sel in
       let ((_, ctx1) as t1), ((_, ctx2) as t2) = make_twin seeds modes ops in
-      let src = Array.init (len + 2) (fun i -> i land 1 = 0) in
-      Pmedia.Bitops.mwb_run ctx1 ~start ~len ~src ~src_pos:2;
-      for k = 0 to len - 1 do
-        Pmedia.Bitops.mwb ctx2 (start + k) (Pmedia.Dot.of_bool src.(k + 2))
-      done;
-      twins_agree t1 t2)
+      let expect_run =
+        len = 0
+        || aligned start len
+           && Pmedia.Bitops.read_fast_available ctx1 ~start ~len
+      in
+      let n = (len / 8) + 2 in
+      let d1 = Bytes.make n '\x5a' and d2 = Bytes.make n '\x5a' in
+      let ran = Pmedia.Bitops.mrb_run_packed ctx1 ~start ~len ~dst:d1 ~dst_pos:1 in
+      if ran then
+        for b = 0 to (len / 8) - 1 do
+          let v = ref 0 in
+          for j = 0 to 7 do
+            if Pmedia.Dot.to_bool (Pmedia.Bitops.mrb ctx2 (start + (8 * b) + j))
+            then v := !v lor (0x80 lsr j)
+          done;
+          Bytes.set d2 (1 + b) (Char.chr !v)
+        done;
+      ran = expect_run && Bytes.equal d1 d2 && twins_agree t1 t2)
+
+let mwb_run_packed_equiv =
+  QCheck.Test.make ~name:"mwb_run_packed == per-dot mwb loop" ~count:300
+    equiv_arb (fun (seeds, ((_, fault_idx) as modes), ops, (run, sel)) ->
+      let start, len = packed_run run sel in
+      let ((_, ctx1) as t1), ((_, ctx2) as t2) = make_twin seeds modes ops in
+      let expect_run = len = 0 || (aligned start len && fault_idx <> 2) in
+      let src = Bytes.init ((len / 8) + 2) (fun i -> Char.chr ((i * 73) land 0xFF)) in
+      let ran = Pmedia.Bitops.mwb_run_packed ctx1 ~start ~len ~src ~src_pos:2 in
+      if ran then
+        for k = 0 to len - 1 do
+          let bit = Char.code (Bytes.get src (2 + (k lsr 3))) land (0x80 lsr (k land 7)) in
+          Pmedia.Bitops.mwb ctx2 (start + k) (Pmedia.Dot.of_bool (bit <> 0))
+        done;
+      ran = expect_run && twins_agree t1 t2)
 
 let erb_run_equiv =
   QCheck.Test.make ~name:"erb_run == per-dot erb loop" ~count:200 equiv_arb
@@ -518,6 +546,6 @@ let () =
       ("bitops", bitops_cases @ [ erb_false_negative_rate ]);
       ( "run kernels",
         run_access_cases
-        @ List.map qtest [ mrb_run_equiv; mwb_run_equiv; erb_run_equiv ] );
+        @ List.map qtest [ mrb_run_packed_equiv; mwb_run_packed_equiv; erb_run_equiv ] );
       ("cow", cow_cases @ [ qtest cow_matches_deep_copy ]);
     ]

@@ -135,6 +135,16 @@ let timing_cases =
 
 (* {1 Pdevice runs} *)
 
+let read_run p ~start ~len =
+  let dst = Array.make len false in
+  Probe.Pdevice.read_run_into p ~start ~len ~dst;
+  dst
+
+(* Bits [0, len) of a packed MSB-first run buffer. *)
+let unpack buf len =
+  Array.init len (fun i ->
+      Char.code (Bytes.get buf (i lsr 3)) land (0x80 lsr (i land 7)) <> 0)
+
 let bools = QCheck.array_of_size (QCheck.Gen.int_range 1 200) QCheck.bool
 
 let write_read_roundtrip =
@@ -144,7 +154,7 @@ let write_read_roundtrip =
       let p = make_pdev () in
       let start = min start (Probe.Pdevice.size p - Array.length bits) in
       Probe.Pdevice.write_run p ~start bits;
-      let got = Probe.Pdevice.read_run p ~start ~len:(Array.length bits) in
+      let got = read_run p ~start ~len:(Array.length bits) in
       got = bits)
 
 let heat_then_erb =
@@ -167,7 +177,7 @@ let pdevice_cases =
            several trials at least one disagrees. *)
         let diffs = ref 0 in
         for _ = 1 to 20 do
-          let got = Probe.Pdevice.read_run p ~start:0 ~len:64 in
+          let got = read_run p ~start:0 ~len:64 in
           for k = 0 to 3 do
             if not got.((16 * k) + 5) then incr diffs
           done
@@ -193,7 +203,30 @@ let pdevice_cases =
     Alcotest.test_case "out-of-range run rejected" `Quick (fun () ->
         let p = make_pdev () in
         Alcotest.check_raises "range" (Invalid_argument "Pdevice: run out of range")
-          (fun () -> ignore (Probe.Pdevice.read_run p ~start:0 ~len:(Probe.Pdevice.size p + 1))));
+          (fun () ->
+            let len = Probe.Pdevice.size p + 1 in
+            Probe.Pdevice.read_run_into p ~start:0 ~len
+              ~dst:(Array.make len false)));
+    Alcotest.test_case "unaligned runs through the packed adapters" `Quick
+      (fun () ->
+        (* 21 dots from dot 3: neither end on a byte, so the packed
+           kernel declines and the scalar loop serves the run. *)
+        let p = make_pdev () in
+        let bits = Array.init 21 (fun i -> i mod 3 = 0) in
+        Probe.Pdevice.write_run p ~start:3 bits;
+        Alcotest.(check (array bool)) "read_run_into" bits
+          (read_run p ~start:3 ~len:21);
+        let dst = Bytes.make 3 '\xff' in
+        Alcotest.(check bool) "packed served" true
+          (Probe.Pdevice.read_run_packed p ~start:3 ~len:21 ~dst);
+        Alcotest.(check (array bool)) "read_run_packed" bits (unpack dst 21);
+        let src = Bytes.of_string "\xa5\x3c\xf0" in
+        Alcotest.(check bool) "packed write served" true
+          (Probe.Pdevice.write_run_packed p ~start:11 ~len:19 ~src);
+        Alcotest.(check (array bool)) "write_run_packed" (unpack src 19)
+          (read_run p ~start:11 ~len:19);
+        Alcotest.(check (array bool)) "dots before untouched"
+          (Array.sub bits 0 8) (read_run p ~start:3 ~len:8));
     Alcotest.test_case "energy grows with electrical writes" `Quick (fun () ->
         let p = make_pdev () in
         let e0 = Probe.Pdevice.energy p in
@@ -263,12 +296,18 @@ let sched_cases =
 (* {1 Run dispatch equivalence}
 
    The per-scan-row bulk dispatch must be invisible: a device whose
-   kernels run the fast path and a twin forced onto the scalar fallback
+   kernels run the fast path and a twin forced onto the scalar path
    (by installing an empty-plan fault injector — inert, but its
    presence disables the fast path) must produce the same outputs,
-   medium state, timing ledger and tip wear. *)
+   medium state, timing ledger, tip wear and PRNG position.
 
-let twin_pdevs (seed, ops) =
+   [tip] optionally breaks tip 5 on both twins before the scramble:
+   [`Dead] leaves it failed (its dots read as noise and take no
+   writes); [`Remapped] moves its field to the one spare, so the fast
+   twin runs the per-row dispatch with every row on the packed kernel
+   and no injector. *)
+
+let twin_pdevs ?tip (seed, ops) =
   let make ~forced_scalar =
     let cfg =
       { (Pmedia.Medium.default_config ~rows:32 ~cols:32) with
@@ -276,9 +315,18 @@ let twin_pdevs (seed, ops) =
     in
     let p =
       Probe.Pdevice.create
-        ~config:{ Probe.Pdevice.default_config with Probe.Pdevice.n_tips = 16 }
+        ~config:
+          { Probe.Pdevice.default_config with
+            Probe.Pdevice.n_tips = 16; spare_tips = 1 }
         (Pmedia.Medium.create cfg)
     in
+    let tips = Probe.Pdevice.tips p in
+    (match tip with
+    | None -> ()
+    | Some `Dead -> Probe.Tips.fail_tip tips 5
+    | Some `Remapped ->
+        Probe.Tips.fail_tip tips 5;
+        assert (Probe.Tips.remap_tip tips 5));
     if forced_scalar then
       Probe.Pdevice.install_fault p
         (Fault.Injector.create (Fault.Plan.make ()));
@@ -308,7 +356,8 @@ let pdev_state p =
     Pmedia.Medium.heated_count m,
     Probe.Pdevice.elapsed p,
     Probe.Pdevice.energy p,
-    List.init (Probe.Tips.n_tips tips) (fun tip -> Probe.Tips.uses tips ~tip) )
+    List.init (Probe.Tips.n_tips tips) (fun tip -> Probe.Tips.uses tips ~tip),
+    Sim.Prng.bits64 (Pmedia.Medium.rng m) )
 
 let scramble_arb =
   QCheck.(
@@ -323,40 +372,34 @@ let dispatch_read_equiv =
     run_arb
     (fun (scramble, (start, len)) ->
       let fast, scalar = twin_pdevs scramble in
-      let a = Probe.Pdevice.read_run fast ~start ~len in
-      let b = Probe.Pdevice.read_run scalar ~start ~len in
+      let a = read_run fast ~start ~len in
+      let b = read_run scalar ~start ~len in
       a = b && pdev_state fast = pdev_state scalar)
 
-(* The packed read must be byte- and ledger-identical to reading the
-   same run as bools and packing by hand — and on the forced-scalar
-   twin it must decline without touching anything. *)
+(* Both twins now read through [read_run_packed]: the forced-scalar
+   one on the per-row scalar path.  Its bytes and state must match the
+   fast twin's, and so must a third twin reading the same run through
+   the bool-array adapter. *)
+let aligned_run (start8, len8) =
+  let start = 8 * (start8 mod 120) in
+  (start, 8 * min len8 ((1024 - start) lsr 3))
+
 let dispatch_packed_read_equiv =
   QCheck.Test.make ~name:"packed vs bool read_run: bytes and ledger"
     ~count:100 run_arb
-    (fun (scramble, (start8, len8)) ->
-      let start = 8 * (start8 mod 120) in
-      let len = 8 * min len8 ((1024 - start) lsr 3) in
+    (fun (scramble, run) ->
+      let start, len = aligned_run run in
       let fast, scalar = twin_pdevs scramble in
-      let dst = Bytes.create (len lsr 3) in
-      let taken = Probe.Pdevice.read_run_packed fast ~start ~len ~dst in
-      let before = pdev_state scalar in
-      let declined =
-        not (Probe.Pdevice.read_run_packed scalar ~start ~len ~dst:(Bytes.create (len lsr 3)))
-      in
-      let untouched = pdev_state scalar = before in
-      let bits = Probe.Pdevice.read_run scalar ~start ~len in
-      let packed_by_hand =
-        String.init (len lsr 3) (fun b ->
-            let v = ref 0 in
-            for j = 0 to 7 do
-              if bits.((8 * b) + j) then v := !v lor (1 lsl (7 - j))
-            done;
-            Char.chr !v)
-      in
-      (len = 0 || taken)
-      && declined && untouched
-      && Bytes.to_string dst = packed_by_hand
-      && pdev_state fast = pdev_state scalar)
+      let boolean, _ = twin_pdevs scramble in
+      let d1 = Bytes.create (len lsr 3) and d2 = Bytes.create (len lsr 3) in
+      let t1 = Probe.Pdevice.read_run_packed fast ~start ~len ~dst:d1 in
+      let t2 = Probe.Pdevice.read_run_packed scalar ~start ~len ~dst:d2 in
+      let bits = read_run boolean ~start ~len in
+      let s = pdev_state fast in
+      t1 && t2 && Bytes.equal d1 d2
+      && unpack d1 len = bits
+      && s = pdev_state scalar
+      && s = pdev_state boolean)
 
 let dispatch_erb_equiv =
   QCheck.Test.make ~name:"bulk vs forced-scalar dispatch: erb_run" ~count:60
@@ -367,36 +410,57 @@ let dispatch_erb_equiv =
       let b = Probe.Pdevice.erb_run ~cycles:2 scalar ~start ~len in
       a = b && pdev_state fast = pdev_state scalar)
 
-(* The packed write must leave the medium, ledger and wear exactly as
-   writing the same bits through the scalar path — including skipping
-   heated dots — and decline without touching anything on the
-   forced-scalar twin. *)
+(* The mirror for writes: the forced-scalar twin writes through
+   [write_run_packed] on the per-row scalar path (skipping heated
+   dots), and a third twin writes the same bits through the bool-array
+   adapter; all three must leave the same medium, ledger and wear. *)
+let packed_src len =
+  Bytes.init (max 1 (len lsr 3)) (fun i -> Char.chr (((i * 37) + 11) land 0xFF))
+
 let dispatch_packed_write_equiv =
   QCheck.Test.make ~name:"packed vs bool write_run: medium and ledger"
     ~count:100 run_arb
-    (fun (scramble, (start8, len8)) ->
-      let start = 8 * (start8 mod 120) in
-      let len = 8 * min len8 ((1024 - start) lsr 3) in
+    (fun (scramble, run) ->
+      let start, len = aligned_run run in
       let fast, scalar = twin_pdevs scramble in
-      let src =
-        Bytes.init (max 1 (len lsr 3)) (fun i ->
-            Char.chr (((i * 37) + 11) land 0xFF))
-      in
-      let taken = Probe.Pdevice.write_run_packed fast ~start ~len ~src in
-      let before = pdev_state scalar in
-      let declined =
-        not (Probe.Pdevice.write_run_packed scalar ~start ~len ~src)
-      in
-      let untouched = pdev_state scalar = before in
-      let bits =
-        Array.init len (fun i ->
-            (Char.code (Bytes.get src (i lsr 3)) lsr (7 - (i land 7))) land 1
-            = 1)
-      in
-      if len > 0 then Probe.Pdevice.write_run scalar ~start bits;
-      (len = 0 || taken)
-      && declined && untouched
-      && pdev_state fast = pdev_state scalar)
+      let boolean, _ = twin_pdevs scramble in
+      let src = packed_src len in
+      let t1 = Probe.Pdevice.write_run_packed fast ~start ~len ~src in
+      let t2 = Probe.Pdevice.write_run_packed scalar ~start ~len ~src in
+      Probe.Pdevice.write_run boolean ~start (unpack src len);
+      let s = pdev_state fast in
+      t1 && t2 && s = pdev_state scalar && s = pdev_state boolean)
+
+(* A dead or remapped tip with no injector: the fast twin takes the
+   per-row dispatch (remapped: the packed kernel on every row; dead: the
+   per-dot noise path on every row), the forced-scalar twin the same
+   rows dot by dot. *)
+let tip_arb =
+  QCheck.(pair bool run_arb)
+
+let tip_of remapped = if remapped then `Remapped else `Dead
+
+let dispatch_tip_read_equiv =
+  QCheck.Test.make ~name:"packed read under a dead or remapped tip" ~count:100
+    tip_arb
+    (fun (remapped, (scramble, run)) ->
+      let start, len = aligned_run run in
+      let fast, scalar = twin_pdevs ~tip:(tip_of remapped) scramble in
+      let d1 = Bytes.create (len lsr 3) and d2 = Bytes.create (len lsr 3) in
+      let t1 = Probe.Pdevice.read_run_packed fast ~start ~len ~dst:d1 in
+      let t2 = Probe.Pdevice.read_run_packed scalar ~start ~len ~dst:d2 in
+      t1 && t2 && Bytes.equal d1 d2 && pdev_state fast = pdev_state scalar)
+
+let dispatch_tip_write_equiv =
+  QCheck.Test.make ~name:"packed write under a dead or remapped tip" ~count:100
+    tip_arb
+    (fun (remapped, (scramble, run)) ->
+      let start, len = aligned_run run in
+      let fast, scalar = twin_pdevs ~tip:(tip_of remapped) scramble in
+      let src = packed_src len in
+      let t1 = Probe.Pdevice.write_run_packed fast ~start ~len ~src in
+      let t2 = Probe.Pdevice.write_run_packed scalar ~start ~len ~src in
+      t1 && t2 && pdev_state fast = pdev_state scalar)
 
 let dispatch_write_equiv =
   QCheck.Test.make ~name:"bulk vs forced-scalar dispatch: write_run" ~count:100
@@ -423,6 +487,8 @@ let () =
             dispatch_erb_equiv;
             dispatch_packed_write_equiv;
             dispatch_write_equiv;
+            dispatch_tip_read_equiv;
+            dispatch_tip_write_equiv;
           ] );
       ( "sched",
         sched_cases
