@@ -98,12 +98,13 @@ type migration = {
 
 (* Reusable buffers for the sector and write-once hot paths; the
    write-once area's erb result is 32 KB as a bool array, too much to
-   allocate per read.  Every buffer size is a layout constant, so scratch sets are
-   interchangeable between devices: they live in a per-domain free list
-   and a device only holds one from first I/O until [park] — a parked
-   or freshly-cloned device pins no transient buffers.  Contents are
-   dead between device calls (always fully overwritten before being
-   read), so recycling is semantically invisible. *)
+   allocate per read.  Every buffer size is a layout constant, so
+   scratch sets are interchangeable between devices: they live in a
+   per-domain free list and a device only holds one from first I/O
+   until [park] — a parked or freshly-cloned device pins no transient
+   buffers.  Contents are dead between device calls (always fully
+   overwritten before being read), so recycling is semantically
+   invisible. *)
 type scratch = {
   sc_wo : bool array;
   sc_probe : bool array; (* the 2 dots of one cell, escalation re-probes *)
