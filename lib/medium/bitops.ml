@@ -192,12 +192,11 @@ let read_fast_available = fast_read_ok
    dots' logical bits (Up = code 1 = pair bit 0) reversed into the top
    or bottom nibble of an MSB-first output byte. *)
 let rev_up_nibble =
-  lazy
-    (Array.init 256 (fun b ->
-         ((b land 1) lsl 3)
-         lor (((b lsr 2) land 1) lsl 2)
-         lor (((b lsr 4) land 1) lsl 1)
-         lor ((b lsr 6) land 1)))
+  Array.init 256 (fun b ->
+      ((b land 1) lsl 3)
+      lor (((b lsr 2) land 1) lsl 2)
+      lor (((b lsr 4) land 1) lsl 1)
+      lor ((b lsr 6) land 1))
 
 let mrb_run_packed t ~start ~len ~dst ~dst_pos =
   check_run t start len;
@@ -210,7 +209,7 @@ let mrb_run_packed t ~start ~len ~dst ~dst_pos =
   else begin
     t.counters.mrb <- t.counters.mrb + len;
     let rng = Medium.rng t.medium in
-    let tbl = Lazy.force rev_up_nibble in
+    let tbl = rev_up_nibble in
     (* Segment boundaries are 8-dot-aligned, so every chunk keeps the
        byte-pair framing of the flat kernel. *)
     Medium.iter_chunks t.medium ~write:false ~start ~len
@@ -246,12 +245,11 @@ let mrb_run_packed t ~start ~len ~dst ~dst_pos =
 (* Inverse of [rev_up_nibble]: an MSB-first nibble of logical bits
    (bit 3 = lowest dot address) as a state byte of Up/Down codes. *)
 let nibble_states =
-  lazy
-    (Array.init 16 (fun nib ->
-         ((nib lsr 3) land 1)
-         lor (((nib lsr 2) land 1) lsl 2)
-         lor (((nib lsr 1) land 1) lsl 4)
-         lor ((nib land 1) lsl 6)))
+  Array.init 16 (fun nib ->
+      ((nib lsr 3) land 1)
+      lor (((nib lsr 2) land 1) lsl 2)
+      lor (((nib lsr 1) land 1) lsl 4)
+      lor ((nib land 1) lsl 6))
 
 let mwb_run_packed t ~start ~len ~src ~src_pos =
   check_run t start len;
@@ -264,7 +262,7 @@ let mwb_run_packed t ~start ~len ~src ~src_pos =
     len = 0
   else begin
     t.counters.mwb <- t.counters.mwb + len;
-    let tbl = Lazy.force nibble_states in
+    let tbl = nibble_states in
     Medium.iter_chunks t.medium ~write:true ~start ~len
       (fun states ~base ~start:cstart ~len:clen ->
     let spos = src_pos + ((cstart - start) lsr 3) in

@@ -59,13 +59,10 @@ let rng t = t.rng
 let segment_bytes = seg_bytes
 
 (* One process-wide all-zero segment backs every unmaterialised read. *)
-let zero_seg : states Lazy.t =
-  lazy
-    (let s =
-       Bigarray.Array1.create Bigarray.char Bigarray.c_layout seg_bytes
-     in
-     Bigarray.Array1.fill s '\x00';
-     s)
+let zero_seg : states =
+  let s = Bigarray.Array1.create Bigarray.char Bigarray.c_layout seg_bytes in
+  Bigarray.Array1.fill s '\x00';
+  s
 
 let n_segs_of n_packed = (n_packed + seg_bytes - 1) / seg_bytes
 
@@ -120,7 +117,7 @@ let seg_ro t si =
   | None -> (
       match Array.unsafe_get t.frozen si with
       | Some s -> s
-      | None -> Lazy.force zero_seg)
+      | None -> zero_seg)
 
 (* Write view: materialise a private copy on first touch. *)
 let seg_rw t si =
@@ -276,14 +273,13 @@ let blit_packed t ~pos ~dst ~dst_off ~len =
    decoding [raw_get] applies), so a foreign byte can never plant the
    reserved code 3 in the store. *)
 let sanitize_byte =
-  lazy
-    (Array.init 256 (fun b ->
-         let v = ref 0 in
-         for f = 0 to 3 do
-           let c = (b lsr (2 * f)) land 3 in
-           v := !v lor ((if c > 2 then 2 else c) lsl (2 * f))
-         done;
-         Char.chr !v))
+  Array.init 256 (fun b ->
+      let v = ref 0 in
+      for f = 0 to 3 do
+        let c = (b lsr (2 * f)) land 3 in
+        v := !v lor ((if c > 2 then 2 else c) lsl (2 * f))
+      done;
+      Char.chr !v)
 
 let load_packed t ~pos ~src ~src_off ~len =
   if
@@ -292,7 +288,7 @@ let load_packed t ~pos ~src ~src_off ~len =
     || src_off < 0
     || src_off + len > Bytes.length src
   then invalid_arg "Medium.load_packed: out of range";
-  let tbl = Lazy.force sanitize_byte in
+  let tbl = sanitize_byte in
   let k = ref 0 in
   while !k < len do
     let p = pos + !k in
@@ -329,17 +325,16 @@ let load_packed t ~pos ~src ~src_off ~len =
 (* Number of 2-bit fields per state byte that read back as Heated
    (raw code >= 2, matching [raw_get]'s decoding). *)
 let heated_per_byte =
-  lazy
-    (Array.init 256 (fun b ->
-         let n = ref 0 in
-         for f = 0 to 3 do
-           if (b lsr (2 * f)) land 3 >= 2 then incr n
-         done;
-         !n))
+  Array.init 256 (fun b ->
+      let n = ref 0 in
+      for f = 0 to 3 do
+        if (b lsr (2 * f)) land 3 >= 2 then incr n
+      done;
+      !n)
 
 let count_heated_run t ~start ~len =
   check_run t start len;
-  let tbl = Lazy.force heated_per_byte in
+  let tbl = heated_per_byte in
   let n = ref 0 in
   iter_chunks t ~write:false ~start ~len (fun seg ~base ~start ~len ->
       let state i =
