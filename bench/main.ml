@@ -141,10 +141,12 @@ let e11_worm =
   ]
 
 let e12_archive =
-  let venti =
-    Venti.create
-      (Sero.Device.create (Sero.Device.default_config ~n_blocks:8192 ~line_exp:3 ()))
+  (* The arena fills within a long quota; each fill restarts on a fresh
+     CoW clone of a blank device. *)
+  let blank =
+    Sero.Device.create (Sero.Device.default_config ~n_blocks:8192 ~line_exp:3 ())
   in
+  let venti = ref (Venti.create (Sero.Device.clone blank)) in
   let fossil =
     Fossil.create
       (Sero.Device.create (Sero.Device.default_config ~n_blocks:16384 ~line_exp:3 ()))
@@ -154,8 +156,9 @@ let e12_archive =
     Test.make ~name:"e12 venti put_stream 4KB (unique)"
       (Staged.stage (fun () ->
            incr counter;
-           ignore
-             (Venti.put_stream venti (string_of_int !counter ^ payload_4k))));
+           match Venti.put_stream !venti (string_of_int !counter ^ payload_4k) with
+           | Ok _ -> ()
+           | Error _ -> venti := Venti.create (Sero.Device.clone blank)));
     Test.make ~name:"e12 fossil insert (unique key)"
       (Staged.stage (fun () ->
            incr counter;

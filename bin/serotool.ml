@@ -342,7 +342,7 @@ let health image limit =
               Format.fprintf std
                 "  line %d: phys %d -> %d%s at t=%g@." m.Sero.Device.m_line
                 m.Sero.Device.m_from m.Sero.Device.m_to
-                (if m.Sero.Device.m_heated then " (re-attested)" else "")
+                (if m.Sero.Device.m_hash <> None then " (re-attested)" else "")
                 m.Sero.Device.m_timestamp)
             ms);
       Format.pp_print_flush std ();
@@ -357,7 +357,7 @@ let migrate image line =
           | Ok m ->
               Format.fprintf std "line %d migrated: phys %d -> %d%s@."
                 m.Sero.Device.m_line m.Sero.Device.m_from m.Sero.Device.m_to
-                (if m.Sero.Device.m_heated then " (re-attested)" else "");
+                (if m.Sero.Device.m_hash <> None then " (re-attested)" else "");
               Format.pp_print_flush std ();
               Ok true
           | Error e ->
@@ -373,7 +373,7 @@ let migrate image line =
               (fun m ->
                 Format.fprintf std "line %d migrated: phys %d -> %d%s@."
                   m.Sero.Device.m_line m.Sero.Device.m_from m.Sero.Device.m_to
-                  (if m.Sero.Device.m_heated then " (re-attested)" else ""))
+                  (if m.Sero.Device.m_hash <> None then " (re-attested)" else ""))
               ms;
           Format.pp_print_flush std ();
           Ok (ms <> []))
@@ -560,9 +560,7 @@ let attack image name =
                           (Sero.Layout.block_first_dot lay
                              (List.hd (Sero.Layout.data_blocks_of_line lay line)))
                         ~n:512
-                  | _ ->
-                      Sero.Device.unsafe_magnetic_wipe dev;
-                      Sero.Device.refresh_heated_cache dev);
+                  | _ -> Sero.Device.unsafe_magnetic_wipe dev);
                   Format.fprintf std
                     "attack %s applied to the image; run verify/fsck to see \
                      the evidence@."
@@ -714,7 +712,6 @@ let array_fail image slot tamper replica =
                 (Sero.Layout.first_data_block lay
                    (Sarray.Amap.local_line m line))
               "tampered by array-fail";
-            Sero.Device.refresh_heated_cache d;
             Format.fprintf std
               "tampered replica %d (slot %d, device %d) of line %d; run \
                array-status --verify to see the quorum's verdict@."

@@ -81,7 +81,6 @@ let () =
   (* Desperate measure: the bulk eraser.  The magnetic data dies, but
      every burned line testifies that evidence existed and was hit. *)
   Sero.Device.unsafe_magnetic_wipe dev;
-  Sero.Device.refresh_heated_cache dev;
   let report = Lfs.Fsck.run dev in
   Printf.printf
     "scan after bulk erase: %d heated lines, all tampered: %b\n"

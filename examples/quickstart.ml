@@ -52,7 +52,6 @@ let () =
   (* Even a bulk eraser cannot remove the evidence: heated dots have no
      magnetisation left to erase. *)
   Sero.Device.unsafe_magnetic_wipe dev;
-  Sero.Device.refresh_heated_cache dev;
   let report = Lfs.Fsck.run dev in
   Format.printf
     "after bulk erase, the medium scan still shows %d tampered heated line(s)@."

@@ -177,7 +177,6 @@ let rebuild_slot ?(force = false) v ~slot =
             (List.init (Volume.map v).Amap.member_lines (fun l -> l))
         with
         | report ->
-            Sero.Device.refresh_heated_cache (Volume.device v ~dev:spare);
             Volume.swap_in_spare v ~slot ~spare;
             Volume.note_rebuilt v;
             Volume.log_event v

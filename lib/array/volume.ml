@@ -320,8 +320,7 @@ let apply_event v (e : Fault.Plan.array_event) =
          burned hash.  Mutation listeners fire, so the member's cache
          cannot mask the verdict. *)
       Sero.Device.unsafe_write_block d ~pba
-        (Printf.sprintf "tampered replica: slot %d line %d" slot line);
-      Sero.Device.refresh_heated_cache d
+        (Printf.sprintf "tampered replica: slot %d line %d" slot line)
 
 let tick v =
   let rec fire = function

@@ -142,7 +142,7 @@ let run_arm ~trial ~health_on =
     data_pbas;
   let migrations = Sero.Device.migrations dev in
   let heated_migs =
-    List.filter (fun m -> m.Sero.Device.m_heated) migrations
+    List.filter (fun m -> m.Sero.Device.m_hash <> None) migrations
   in
   let audit_ok =
     List.length

@@ -240,7 +240,6 @@ let stats (t : t) =
     { nodes = 0; sealed_nodes = 0; entries = 0; depth = 0 }
 
 let reload dev =
-  Sero.Device.refresh_heated_cache dev;
   let t = create dev in
   let lay = t.lay in
   let* () = Ok () in

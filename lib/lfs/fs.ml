@@ -17,7 +17,6 @@ let mount ?policy dev =
   | None -> Error "no valid checkpoint found"
   | Some cp ->
       State.restore_from_checkpoint st cp;
-      Sero.Device.refresh_heated_cache dev;
       (* Heated lines on the medium override the checkpointed state. *)
       let lay = st.State.lay in
       for line = 0 to Sero.Layout.usable_lines lay - 1 do

@@ -4,10 +4,13 @@
     existed); the defaults follow the probe-storage literature it cites
     (Pozidis et al.): per-tip data rates in the 100 kbit/s range with
     massive tip parallelism, millisecond-scale sled seeks, and a slow
-    electrical write dominated by the heating pulse.  Every figure-of-
-    merit experiment reports {e ratios} between operations, which are
-    robust to the absolute scale — and every number here is a config
-    field. *)
+    electrical write dominated by the heating pulse.  Every number here
+    is a config field.  The figure-of-merit experiments report {e ratios}
+    between operations, but a ratio is not scale-free: where sled travel
+    dominates service (the E19/E20 scheduler speedups, E21's cache
+    speedup, E25's tail-latency ratios) the headline moves with
+    [seek_velocity] and [seek_settle], so it holds at these defaults
+    only. *)
 
 type costs = {
   bit_time : float;  (** One magnetic bit read or write under a tip, s. *)

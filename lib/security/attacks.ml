@@ -309,7 +309,6 @@ let run_copy_mask env =
 let run_bulk_erase env =
   Lfs.Fs.sync env.fs;
   Sero.Device.unsafe_magnetic_wipe env.dev;
-  Sero.Device.refresh_heated_cache env.dev;
   let report = Lfs.Fsck.run env.dev in
   if report.Lfs.Fsck.heated_tampered <> [] then
     Detected

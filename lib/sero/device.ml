@@ -91,7 +91,6 @@ type migration = {
   m_line : int;  (** Logical line that was rehomed. *)
   m_from : int;  (** Physical line it vacated (the carcass). *)
   m_to : int;  (** Physical line now serving it. *)
-  m_heated : bool;
   m_hash : Hash.Sha256.t option;  (** Burned hash carried across. *)
   m_timestamp : float;
 }
@@ -142,7 +141,7 @@ type t = {
   layout : Layout.t;
   pdevice : Probe.Pdevice.t;
   generations : int array; (* per logical PBA *)
-  heated : bool array; (* per logical line; cache of the medium's truth *)
+  heated : bool array; (* per physical line, see [recount_heated] *)
   (* Grown-defect remap: [phys_line] maps logical line -> physical line
      (a permutation; identity until a retirement), [log_of_phys] its
      inverse.  Frames always embed the {e logical} PBA, so a migrated
@@ -505,7 +504,7 @@ let unsafe_read_raw t ~pba =
 let write_block t ~pba payload =
   if t.dstate = Read_only then Error Read_only_device
   else if Layout.is_hash_block t.layout pba then Error Reserved_hash_block
-  else if t.heated.(Layout.line_of_block t.layout pba) then
+  else if t.heated.(t.phys_line.(Layout.line_of_block t.layout pba)) then
     Error In_heated_line
   else begin
     unsafe_write_block t ~pba payload;
@@ -789,9 +788,34 @@ let pp_heat_error ppf = function
   | Already_heated -> Format.pp_print_string ppf "line already heated"
   | Burn_verify_failed -> Format.pp_print_string ppf "burn verification failed"
 
+(* Only an ewb heats a dot, and every ewb goes through [heat_run] (or an
+   image load, see [restore_endurance]).  A physical line is heated when
+   its write-once area holds at least half a burn's heated dots (one per
+   cell); a remap thus moves the bit with the medium.  Ewb collateral
+   reaches one row (one block) either side of the run. *)
+let recount_heated t ~start ~len =
+  let medium = Probe.Pdevice.medium t.pdevice in
+  let cols = Pmedia.Medium.cols medium in
+  let line_dots = Layout.blocks_per_line t.layout * Layout.block_dots in
+  let lo = max 0 (start - cols) in
+  let hi = min (Pmedia.Medium.size medium) (start + len + cols) - 1 in
+  for p = lo / line_dots to hi / line_dots do
+    let heated_dots =
+      Pmedia.Medium.count_heated_run medium
+        ~start:(Layout.wo_first_dot t.layout ~line:p)
+        ~len:Layout.wo_area_dots
+    in
+    t.heated.(p) <- 4 * heated_dots >= Layout.wo_area_dots
+  done
+
+(* A power cut mid-run leaves heated dots too: recount either way. *)
+let heat_run t ~start pattern =
+  Fun.protect
+    ~finally:(fun () -> recount_heated t ~start ~len:(Array.length pattern))
+    (fun () -> Probe.Pdevice.heat_run t.pdevice ~start pattern)
+
 let burn_wo_area t ~start ~payload =
-  let pattern = Codec.Manchester.encode payload in
-  Probe.Pdevice.heat_run t.pdevice ~start pattern
+  heat_run t ~start (Codec.Manchester.encode payload)
 
 let heat_line_inner t ~line ~timestamp =
   t.heats <- t.heats + 1;
@@ -812,9 +836,7 @@ let heat_line_inner t ~line ~timestamp =
       let rec go n =
         burn_wo_area t ~start ~payload;
         match read_hash_block t ~line with
-        | `Burned meta when Hash.Sha256.equal meta.hash hash ->
-            t.heated.(line) <- true;
-            Ok hash
+        | `Burned meta when Hash.Sha256.equal meta.hash hash -> Ok hash
         | (`Not_heated | `Torn _ | `Tampered _ | `Burned _) as readback ->
             let incomplete =
               match readback with
@@ -906,17 +928,22 @@ let verify_carcass t ~line =
       | (`Not_heated | `Burned _), _ ->
           Tamper.Tampered [ Tamper.Meta_corrupt ])
 
+(* The verdict on any write-once readback but a clean burn, which each
+   caller judges itself (a match arm, not a closure: verify is hot). *)
+let unburned_verdict = function
+  | `Not_heated -> Tamper.Not_heated
+  | `Tampered evs -> Tamper.Tampered evs
+  | `Torn _ ->
+      (* Until completed, a torn burn is indistinguishable from an
+         interrupted forgery: report it. *)
+      Tamper.Tampered [ Tamper.Partially_burned ]
+
 let verify_line t ~line =
   t.verifies <- t.verifies + 1;
   if quarantined t ~line then verify_carcass t ~line
   else
     match read_hash_block t ~line with
-    | `Not_heated -> Tamper.Not_heated
-    | `Tampered evs -> Tamper.Tampered evs
-    | `Torn _ ->
-        (* Until completed, a torn burn is indistinguishable from an
-           interrupted forgery: report it. *)
-        Tamper.Tampered [ Tamper.Partially_burned ]
+    | (`Not_heated | `Tampered _ | `Torn _) as r -> unburned_verdict r
     | `Burned meta ->
         if meta.line <> line then Tamper.Tampered [ Tamper.Meta_corrupt ]
         else verify_payloads ~hash:meta.hash ~region_id:line (read_line t ~line)
@@ -930,13 +957,11 @@ let verify_region t ~hash_pba ~data_pbas =
     Tamper.Tampered [ Tamper.Address_mismatch [ hash_pba ] ]
   else
     match read_wo_area t ~start:(block_start t hash_pba) with
-    | `Not_heated -> Tamper.Not_heated
-    | `Tampered evs -> Tamper.Tampered evs
-    | `Torn _ -> Tamper.Tampered [ Tamper.Partially_burned ]
+    | (`Not_heated | `Tampered _ | `Torn _) as r -> unburned_verdict r
     | `Burned meta ->
         verify_data_against t ~hash:meta.hash ~region_id:meta.line ~data_pbas
 
-let is_line_heated t ~line = t.heated.(line)
+let is_line_heated t ~line = t.heated.(t.phys_line.(line))
 
 (* {1 Whole-device operations} *)
 
@@ -948,16 +973,9 @@ let scan ?(deep = false) t =
         if quarantined t ~line then verify_carcass t ~line
         else
           match read_hash_block t ~line with
-          | `Not_heated -> Tamper.Not_heated
-          | `Tampered evs -> Tamper.Tampered evs
-          | `Torn _ -> Tamper.Tampered [ Tamper.Partially_burned ]
-          | `Burned _ when not deep -> Tamper.Intact
-          | `Burned _ -> verify_line t ~line
+          | (`Not_heated | `Tampered _ | `Torn _) as r -> unburned_verdict r
+          | `Burned _ -> if deep then verify_line t ~line else Tamper.Intact
       in
-      t.heated.(line) <-
-        (match verdict with
-        | Tamper.Not_heated -> false
-        | Tamper.Intact | Tamper.Tampered _ -> true);
       { scanned_line = line; verdict })
 
 type block_class =
@@ -1040,9 +1058,10 @@ let stats t =
   let n_lines = Layout.n_lines t.layout in
   let heated_lines = Array.fold_left (fun a b -> if b then a + 1 else a) 0 t.heated in
   let runs = ref 0 in
-  Array.iteri
-    (fun i h -> if h && ((i = 0) || not t.heated.(i - 1)) then incr runs)
-    t.heated;
+  for i = 0 to n_lines - 1 do
+    if is_line_heated t ~line:i && (i = 0 || not (is_line_heated t ~line:(i - 1)))
+    then incr runs
+  done;
   let counters = Pmedia.Bitops.counters (Probe.Pdevice.bitops t.pdevice) in
   {
     n_lines;
@@ -1211,14 +1230,12 @@ let evacuate_line t ~line ?(timestamp = 0.) () =
                 m_line = line;
                 m_from = old_phys;
                 m_to = spare;
-                m_heated = meta_opt <> None;
                 m_hash =
                   Option.map (fun (m : burned_meta) -> m.hash) meta_opt;
                 m_timestamp = timestamp;
               }
             in
             t.migrations <- t.migrations @ [ m ];
-            t.heated.(spare_logical) <- t.heated.(line);
             (* The line reads from fresh medium now: forget its error
                history, keep the new home's manufacturing defects. *)
             Health.reset_line t.health ~line
@@ -1234,9 +1251,7 @@ let evacuate_line t ~line ?(timestamp = 0.) () =
               r
             in
             match meta_opt with
-            | None ->
-                t.heated.(line) <- false;
-                finish (Ok m)
+            | None -> finish (Ok m)
             | Some (meta : burned_meta) ->
                 (* 4: re-attest — burn the original hash and metadata at
                    the new write-once area and verify the burn. *)
@@ -1253,7 +1268,6 @@ let evacuate_line t ~line ?(timestamp = 0.) () =
                   burn_wo_area t ~start:(wo_start t ~line) ~payload;
                   match read_hash_block t ~line with
                   | `Burned got when Hash.Sha256.equal got.hash meta.hash ->
-                      t.heated.(line) <- true;
                       finish (Ok m)
                   | (`Not_heated | `Torn _) when n < attempts ->
                       t.repulses <- t.repulses + 1;
@@ -1354,8 +1368,7 @@ let unsafe_forge_burn t ~hash_pba ~data_pbas ~claim_line =
   notify_mutation t ~pba:hash_pba ~n:1
 
 let unsafe_heat_dots t ~dot ~n =
-  let pattern = Array.make n true in
-  Probe.Pdevice.heat_run t.pdevice ~start:dot pattern;
+  heat_run t ~start:dot (Array.make n true);
   let first = dot / Layout.block_dots in
   let last = min (t.config.n_blocks - 1) ((dot + n - 1) / Layout.block_dots) in
   notify_mutation t ~pba:first ~n:(last - first + 1)
@@ -1371,18 +1384,6 @@ let unsafe_magnetic_wipe t =
   done;
   notify_mutation t ~pba:0 ~n:t.config.n_blocks
 
-let refresh_heated_cache t =
-  let medium = Probe.Pdevice.medium t.pdevice in
-  for line = 0 to Layout.n_lines t.layout - 1 do
-    let start = wo_start t ~line in
-    let heated_dots =
-      Pmedia.Medium.count_heated_run medium ~start ~len:Layout.wo_area_dots
-    in
-    (* A legitimately burned area has exactly one heated dot per cell,
-       i.e. half the area; anything substantial counts as heated. *)
-    t.heated.(line) <- 4 * heated_dots >= Layout.wo_area_dots
-  done
-
 (* {1 Image persistence hooks} *)
 
 let restore_endurance t ~phys_line ~spare_pool ~migrations ~state =
@@ -1396,4 +1397,6 @@ let restore_endurance t ~phys_line ~spare_pool ~migrations ~state =
   t.spare_pool <- spare_pool;
   t.migrations <- migrations;
   t.line_retirements <- List.length migrations;
-  t.dstate <- state
+  t.dstate <- state;
+  recount_heated t ~start:0
+    ~len:(Pmedia.Medium.size (Probe.Pdevice.medium t.pdevice))

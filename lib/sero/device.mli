@@ -268,7 +268,10 @@ val verify_region : t -> hash_pba:int -> data_pbas:int list -> Tamper.verdict
     the Section 5.1 splicing attack pass. *)
 
 val is_line_heated : t -> line:int -> bool
-(** Cheap cached query (maintained by heat/scan operations). *)
+(** Whether the write-once area serving [line] holds at least half a
+    complete burn's heated dots (one per cell) — a fact of the medium,
+    recounted after every electrical write (power-cut or not) and image
+    load.  {!write_block} refuses exactly these lines. *)
 
 (** {1 Whole-device operations} *)
 
@@ -279,7 +282,7 @@ val scan : ?deep:bool -> t -> scan_entry list
     the directory structure, "a scan of the medium would definitely
     recover (albeit slowly) all the heated files").  Reads every line's
     write-once area electrically; with [deep] also verifies the data of
-    burned lines.  Rebuilds the heated-line cache as a side effect. *)
+    burned lines. *)
 
 type block_class =
   | Healthy
@@ -394,10 +397,6 @@ val unsafe_magnetic_wipe : t -> unit
     single direction.  Heated dots are unaffected — they have no
     perpendicular axis left — so burned evidence survives. *)
 
-val refresh_heated_cache : t -> unit
-(** Re-derive the heated-line cache from the medium (used after raw
-    attacks so honest queries see ground truth). *)
-
 (** {1 Endurance lifecycle}
 
     The graceful-degradation layer over the health ledger: spare lines
@@ -414,12 +413,12 @@ type migration = {
   m_line : int;  (** Logical line that was rehomed. *)
   m_from : int;  (** Physical line it vacated (the carcass). *)
   m_to : int;  (** Physical line now serving it. *)
-  m_heated : bool;
   m_hash : Hash.Sha256.t option;
       (** The burned hash carried across — the old->new attestation
-          link.  {!verify_line} on the quarantined carcass checks its
-          burn against this, and the re-burned area at the new home
-          must reproduce it exactly. *)
+          link; [None] for a line that was never heated.
+          {!verify_line} on the quarantined carcass checks its burn
+          against this, and the re-burned area at the new home must
+          reproduce it exactly. *)
   m_timestamp : float;
 }
 
@@ -495,4 +494,5 @@ val restore_endurance :
   unit
 (** Overwrite the remap table, spare pool, grown-defect list and state
     machine from a loaded image (the inverse permutation and carcass
-    flags are rebuilt).  Follow with {!refresh_heated_cache}. *)
+    flags are rebuilt).  Call it once the medium's dot states are
+    loaded: it recounts {!is_line_heated} for every line from them. *)

@@ -48,14 +48,14 @@ let write_endurance w (dev : Device.t) =
       Codec.Binio.W.u32 w m.Device.m_line;
       Codec.Binio.W.u32 w m.Device.m_from;
       Codec.Binio.W.u32 w m.Device.m_to;
-      Codec.Binio.W.u8 w (if m.Device.m_heated then 1 else 0);
-      (match m.Device.m_hash with
-      | None ->
-          Codec.Binio.W.u8 w 0;
-          Codec.Binio.W.raw w (String.make 32 '\x00')
-      | Some h ->
-          Codec.Binio.W.u8 w 1;
-          Codec.Binio.W.raw w (Hash.Sha256.to_raw h));
+      (* The heated flag and the has-hash byte: one fact, stored twice. *)
+      let flag = if Option.is_some m.Device.m_hash then 1 else 0 in
+      Codec.Binio.W.u8 w flag;
+      Codec.Binio.W.u8 w flag;
+      Codec.Binio.W.raw w
+        (match m.Device.m_hash with
+        | None -> String.make 32 '\x00'
+        | Some h -> Hash.Sha256.to_raw h);
       write_float w m.Device.m_timestamp)
     migrations
 
@@ -67,8 +67,9 @@ let read_endurance_config r =
   { Device.health_enabled; spare_lines; ewma_alpha; retire_margin }
 
 (* The device must already exist (the remap table length is the line
-   count, known only from the geometry fields read before it). *)
-let restore_endurance_state r (dev : Device.t) =
+   count, known only from the geometry fields read before it).  Returns
+   what {!Device.restore_endurance} takes once the medium is loaded. *)
+let read_endurance_state r (dev : Device.t) =
   let lay = Device.layout dev in
   let n_lines = Layout.n_lines lay in
   let state = dstate_of_code (Codec.Binio.R.u8 r) in
@@ -93,16 +94,18 @@ let restore_endurance_state r (dev : Device.t) =
         let m_line = Codec.Binio.R.u32 r in
         let m_from = Codec.Binio.R.u32 r in
         let m_to = Codec.Binio.R.u32 r in
-        let m_heated = Codec.Binio.R.u8 r = 1 in
+        let heated = Codec.Binio.R.u8 r = 1 in
         let has_hash = Codec.Binio.R.u8 r = 1 in
+        if heated <> has_hash then
+          failwith "migration heated flag disagrees with its hash";
         let raw_hash = Codec.Binio.R.raw r 32 in
         let m_hash =
           if has_hash then Some (Hash.Sha256.of_raw raw_hash) else None
         in
         let m_timestamp = read_float r in
-        { Device.m_line; m_from; m_to; m_heated; m_hash; m_timestamp })
+        { Device.m_line; m_from; m_to; m_hash; m_timestamp })
   in
-  Device.restore_endurance dev ~phys_line ~spare_pool ~migrations ~state
+  (phys_line, spare_pool, migrations, state)
 
 let save (dev : Device.t) path =
   let cfg = Device.config dev in
@@ -294,7 +297,9 @@ let load path =
               | Error e -> failwith e
             in
             let dev = Device.create config in
-            restore_endurance_state r dev;
+            let phys_line, spare_pool, migrations, state =
+              read_endurance_state r dev
+            in
             let n = Codec.Binio.R.u32 r in
             let plen = Codec.Binio.R.u32 r in
             let medium = Probe.Pdevice.medium (Device.pdevice dev) in
@@ -316,7 +321,8 @@ let load path =
               pos := !pos + k
             done;
             Pmedia.Medium.recount_heated medium;
-            Device.refresh_heated_cache dev;
+            Device.restore_endurance dev ~phys_line ~spare_pool ~migrations
+              ~state;
             dev
           with
           | exception Failure e -> Error e

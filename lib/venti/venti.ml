@@ -73,8 +73,7 @@ let heat_line t line =
            Sero.Device.pp_heat_error e)
 
 let rec alloc t =
-  if t.current_line >= Sero.Layout.n_lines t.lay then
-    failwith "venti: arena full"
+  if t.current_line >= Sero.Layout.n_lines t.lay then Error "venti: arena full"
   else if Sero.Device.is_line_heated t.dev ~line:t.current_line then begin
     (* Resuming after reindex: the tail line may already be burned. *)
     t.current_line <- t.current_line + 1;
@@ -94,7 +93,7 @@ let rec alloc t =
         t.used_in_line
     in
     t.used_in_line <- t.used_in_line + 1;
-    pba
+    Ok pba
   end
 
 let frame content =
@@ -138,8 +137,9 @@ let reindex dev =
        if !blanks = Sero.Layout.data_blocks_per_line t.lay then raise Stop
      done
    with Stop -> ());
-  Sero.Device.refresh_heated_cache dev;
   Ok t
+
+let ( let* ) = Result.bind
 
 let put t content =
   if String.length content > max_block then
@@ -154,7 +154,7 @@ let put t content =
         t.dedup_hits <- t.dedup_hits + 1;
         Ok score
     | None -> (
-        let pba = alloc t in
+        let* pba = alloc t in
         match Sero.Device.write_block t.dev ~pba (frame content) with
         | Error e ->
             Error (Format.asprintf "venti: write refused: %a" Sero.Device.pp_write_error e)
@@ -189,8 +189,6 @@ let leaf_tag = 'L'
 let node_tag = 'I'
 let chunk_size = 480
 let fanout = 14 (* 1 tag + 2 count + 14 * 32 = 451 bytes per node *)
-
-let ( let* ) = Result.bind
 
 let encode_leaf data = String.make 1 leaf_tag ^ data
 

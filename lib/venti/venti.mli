@@ -34,8 +34,9 @@ val device : t -> Sero.Device.t
 val put : t -> string -> (score, string) result
 (** Store a block of at most 510 bytes (the 512-byte sector payload
     minus the length header; longer inputs are an error — the client
-    chunks, see {!put_stream}).  Returns its score.  Duplicate content
-    dedupes to the same score and PBA. *)
+    chunks, see {!put_stream}).  Returns its score, or [Error] once the
+    arena has no line left.  Duplicate content dedupes to the same score
+    and PBA. *)
 
 val get : t -> score -> (string, string) result
 (** Retrieve by score; verifies the content against the score. *)

@@ -146,7 +146,6 @@ let outvote_tampered () =
   Sero.Device.unsafe_write_block d
     ~pba:(Sero.Layout.first_data_block lay (Sarray.Amap.local_line m 1))
     "evil payload";
-  Sero.Device.refresh_heated_cache d;
   let report = Sarray.Quorum.verify_volume v in
   Alcotest.(check int) "all heated lines attested" 3 report.counts.attested;
   Alcotest.(check int) "one conviction" 1 report.counts.convicted_replicas;
@@ -192,7 +191,6 @@ let read_verify_triage () =
   Sero.Device.unsafe_write_block d
     ~pba:(Sero.Layout.first_data_block lay (Sarray.Amap.local_line m 0))
     "evil payload";
-  Sero.Device.refresh_heated_cache d;
   for o = 0 to Sarray.Amap.data_blocks_per_line m - 1 do
     let vba = Sarray.Amap.vba_of m ~line:0 ~offset:o in
     match Sarray.Volume.read_block v ~vba with
@@ -496,7 +494,6 @@ let image_roundtrip () =
       (Sero.Layout.first_data_block (Sero.Device.layout d)
          (Sarray.Amap.local_line m 0))
     "tamper before save";
-  Sero.Device.refresh_heated_cache d;
   ignore (Sarray.Quorum.verify_volume v);
   Sarray.Aimage.save v path;
   match Sarray.Aimage.load path with

@@ -54,7 +54,6 @@ let narrative =
                (ok "verify" (Lfs.Fs.verify fs2 "/ledger/2007")));
           (* Total wipe: evidence and recovery per Section 5.2. *)
           Sero.Device.unsafe_magnetic_wipe dev2;
-          Sero.Device.refresh_heated_cache dev2;
           let report = Lfs.Fsck.run dev2 in
           Alcotest.(check bool) "wiped heated lines testify" true
             (report.Lfs.Fsck.heated_tampered <> [])))

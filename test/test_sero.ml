@@ -232,7 +232,6 @@ let tamper_cases =
         fill_line dev 2;
         ignore (heat_ok dev 2);
         Sero.Device.unsafe_magnetic_wipe dev;
-        Sero.Device.refresh_heated_cache dev;
         (match Sero.Device.read_hash_block dev ~line:2 with
         | `Burned _ -> ()
         | `Not_heated | `Torn _ | `Tampered _ -> Alcotest.fail "burned hash lost");
@@ -1085,7 +1084,7 @@ let endurance_cases =
         (match Sero.Device.maintenance dev () with
         | [ m ] ->
             Alcotest.(check int) "logical line" 1 m.Sero.Device.m_line;
-            Alcotest.(check bool) "cold line" false m.Sero.Device.m_heated
+            Alcotest.(check bool) "cold line" false (m.Sero.Device.m_hash <> None)
         | ms -> Alcotest.failf "expected 1 migration, got %d" (List.length ms));
         Alcotest.(check bool) "rehomed in the spare region" true
           (Sero.Device.phys_of_line dev ~line:1 >= usable);
@@ -1112,7 +1111,7 @@ let endurance_cases =
         wound dev ~line:2 ~corrected:30;
         (match Sero.Device.evacuate_line dev ~line:2 ~timestamp:9. () with
         | Ok m ->
-            Alcotest.(check bool) "heated" true m.Sero.Device.m_heated;
+            Alcotest.(check bool) "heated" true (m.Sero.Device.m_hash <> None);
             (match m.Sero.Device.m_hash with
             | Some h -> Alcotest.(check bool) "same hash" true (Hash.Sha256.equal h h0)
             | None -> Alcotest.fail "heated migration lost its hash")
@@ -1284,7 +1283,7 @@ let endurance_cases =
                 (match Sero.Device.migrations dev2 with
                 | [ m ] ->
                     Alcotest.(check int) "m_line" 2 m.Sero.Device.m_line;
-                    Alcotest.(check bool) "m_heated" true m.Sero.Device.m_heated
+                    Alcotest.(check bool) "heated" true (m.Sero.Device.m_hash <> None)
                 | ms ->
                     Alcotest.failf "expected 1 migration, got %d"
                       (List.length ms));
@@ -1292,6 +1291,39 @@ let endurance_cases =
                   (Sero.Tamper.equal_verdict
                      (Sero.Device.verify_line dev2 ~line:2)
                      Sero.Tamper.Intact)));
+    Alcotest.test_case "image: migration heated flag must match its hash"
+      `Quick (fun () ->
+        let dev = make_edev () in
+        fill_line dev 2;
+        let h = heat_ok dev 2 in
+        wound dev ~line:2 ~corrected:30;
+        ignore (Sero.Device.maintenance dev ());
+        let path = Filename.temp_file "sero" ".img" in
+        Fun.protect
+          ~finally:(fun () -> Sys.remove path)
+          (fun () ->
+            Sero.Image.save dev path;
+            let b =
+              Bytes.of_string (In_channel.with_open_bin path In_channel.input_all)
+            in
+            (* The migration record lays out the heated flag, the
+               has-hash byte, then the hash itself. *)
+            let raw = Hash.Sha256.to_raw h in
+            let rec find i =
+              if Bytes.sub_string b i 32 = raw then i else find (i + 1)
+            in
+            let flag = find 0 - 2 in
+            Alcotest.(check char) "flag set" '\x01' (Bytes.get b flag);
+            Bytes.set b flag '\x00';
+            let body = Bytes.length b - 4 in
+            Bytes.set_int32_be b body (Codec.Crc32.bytes b 0 body);
+            Out_channel.with_open_bin path (fun oc ->
+                Out_channel.output_bytes oc b);
+            match Sero.Image.load path with
+            | Error e ->
+                Alcotest.(check string) "verdict"
+                  "migration heated flag disagrees with its hash" e
+            | Ok _ -> Alcotest.fail "inconsistent migration record accepted"));
   ]
 
 (* The twin-device law: under a wear-free workload the lifecycle arm
@@ -1611,6 +1643,155 @@ let clone_cases =
           "double park harmless" face (device_face dev));
   ]
 
+(* {1 The heated-line set follows the medium} *)
+
+(* The medium's own answer for logical [line]: at least half a burn's
+   heated dots (one per cell) in the write-once area serving it. *)
+let medium_says_heated dev ~line =
+  let med = Probe.Pdevice.medium (Sero.Device.pdevice dev) in
+  let lay = Sero.Device.layout dev in
+  let start =
+    Sero.Layout.wo_first_dot lay ~line:(Sero.Device.phys_of_line dev ~line)
+  in
+  4 * Pmedia.Medium.count_heated_run med ~start ~len:Sero.Layout.wo_area_dots
+  >= Sero.Layout.wo_area_dots
+
+(* Whether honest firmware refuses a write into [line]; tried on a CoW
+   clone so that [dev] stays as it was. *)
+let write_refused dev ~line =
+  let c = Sero.Device.clone dev in
+  let pba = Sero.Layout.first_data_block (Sero.Device.layout c) line in
+  match Sero.Device.write_block c ~pba "probe" with
+  | Error Sero.Device.In_heated_line -> true
+  | Ok () -> false
+  | Error e -> Alcotest.failf "write: %a" Sero.Device.pp_write_error e
+
+let reload dev =
+  let path = Filename.temp_file "sero" ".img" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Sero.Image.save dev path;
+      match Sero.Image.load path with
+      | Ok d -> d
+      | Error e -> Alcotest.failf "load: %s" e)
+
+(* Fill [line]'s blank data blocks (refusals ignored), then heat it,
+   with a power cut after [cut] ewb pulses when given. *)
+let heat_with_cut dev ~line ~cut =
+  List.iter
+    (fun pba ->
+      match Sero.Device.read_block dev ~pba with
+      | Ok _ -> ()
+      | Error _ -> ignore (Sero.Device.write_block dev ~pba "fill"))
+    (Sero.Layout.data_blocks_of_line (Sero.Device.layout dev) line);
+  Option.iter
+    (fun n ->
+      Sero.Device.install_fault dev
+        (Fault.Injector.create (Fault.Plan.make ~power_cut_after_ewb:n ())))
+    cut;
+  (match Sero.Device.heat_line dev ~line () with
+  | exception Fault.Injector.Power_cut -> ()
+  | Ok _ | Error _ -> ());
+  Sero.Device.clear_fault dev
+
+let heated_set_cases =
+  [
+    Alcotest.test_case "torn heat: live and reloaded device agree" `Quick
+      (fun () ->
+        List.iter
+          (fun (cut, expect) ->
+            let dev = make_dev () in
+            fill_line dev 1;
+            heat_with_cut dev ~line:1 ~cut:(Some cut);
+            let dev2 = reload dev in
+            List.iter
+              (fun (side, d) ->
+                let what = Printf.sprintf "%s, cut at %d cells" side cut in
+                Alcotest.(check bool) (what ^ ": heated") expect
+                  (Sero.Device.is_line_heated d ~line:1);
+                Alcotest.(check bool) (what ^ ": write refused") expect
+                  (write_refused d ~line:1))
+              [ ("live", dev); ("reloaded", dev2) ])
+          [ (1100, true); (700, false) ]);
+  ]
+
+type heated_op =
+  | S_write of int * int (* line, data block ordinal *)
+  | S_heat of int * int option (* line, ewb pulses before a power cut *)
+  | S_dots of int * bool * int * int (* phys line, in WO area, offset, n *)
+  | S_evacuate of int
+  | S_clone
+  | S_reload
+
+let pp_heated_op = function
+  | S_write (l, k) -> Printf.sprintf "write %d.%d" l k
+  | S_heat (l, None) -> Printf.sprintf "heat %d" l
+  | S_heat (l, Some n) -> Printf.sprintf "heat %d cut@%d" l n
+  | S_dots (l, wo, off, n) ->
+      Printf.sprintf "ewb %s %d+%d x%d" (if wo then "wo" else "data") l off n
+  | S_evacuate l -> Printf.sprintf "evacuate %d" l
+  | S_clone -> "clone"
+  | S_reload -> "reload"
+
+(* 8 lines of 8 blocks, the top 2 spares; health off, so the device
+   never turns read-only and only [In_heated_line] refuses a write. *)
+let heated_set_law =
+  let lines = 8 and usable = 6 in
+  let op_gen =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, map2 (fun l k -> S_write (l, k)) (int_bound (lines - 1)) (int_bound 6));
+          (2, map (fun l -> S_heat (l, None)) (int_bound (usable - 1)));
+          ( 2,
+            map2
+              (fun l n -> S_heat (l, Some n))
+              (int_bound (usable - 1)) (int_range 1 2100) );
+          ( 3,
+            map3
+              (fun l wo (off, n) -> S_dots (l, wo, off, n))
+              (int_bound (lines - 1)) bool
+              (pair (int_bound (Sero.Layout.wo_area_dots - 1)) (int_range 1 1200)) );
+          (1, map (fun l -> S_evacuate l) (int_bound (usable - 1)));
+          (1, return S_clone);
+          (1, return S_reload);
+        ])
+  in
+  QCheck.Test.make ~name:"is_line_heated and write refusal follow the medium"
+    ~count:30
+    QCheck.(make ~print:Print.(list pp_heated_op) Gen.(list_size (1 -- 10) op_gen))
+    (fun ops ->
+      let dev =
+        ref (make_edev ~n_blocks:64 ~spare_lines:2 ~health_enabled:false ())
+      in
+      let lay = Sero.Device.layout !dev in
+      let step = function
+        | S_write (l, k) ->
+            ignore
+              (Sero.Device.write_block !dev
+                 ~pba:(List.nth (Sero.Layout.data_blocks_of_line lay l) k)
+                 "script")
+        | S_heat (l, cut) -> heat_with_cut !dev ~line:l ~cut
+        | S_dots (l, wo, off, n) ->
+            let first = Sero.Layout.wo_first_dot lay ~line:l in
+            let dot = if wo then first + off else first + Sero.Layout.block_dots + off in
+            Sero.Device.unsafe_heat_dots !dev ~dot ~n
+        | S_evacuate l -> ignore (Sero.Device.evacuate_line !dev ~line:l ())
+        | S_clone -> dev := Sero.Device.clone !dev
+        | S_reload -> dev := reload !dev
+      in
+      List.for_all
+        (fun op ->
+          step op;
+          List.for_all
+            (fun line ->
+              let heated = Sero.Device.is_line_heated !dev ~line in
+              heated = medium_says_heated !dev ~line
+              && heated = write_refused !dev ~line)
+            (List.init lines Fun.id))
+        ops)
+
 let () =
   Alcotest.run "sero"
     [
@@ -1629,4 +1810,5 @@ let () =
       ("endurance", endurance_cases @ [ qtest endurance_twin ]);
       ("clone",
         clone_cases @ [ qtest clone_parent_churn; qtest clone_rearm_isolation ]);
+      ("heated-set", heated_set_cases @ [ qtest heated_set_law ]);
     ]

@@ -30,6 +30,18 @@ let basic_cases =
         match Venti.put v (String.make 600 'x') with
         | Error _ -> ()
         | Ok _ -> Alcotest.fail "oversize accepted");
+    Alcotest.test_case "a full arena is an error, not an exception" `Quick
+      (fun () ->
+        let v = make ~n_blocks:16 () in
+        let rec fill i =
+          match Venti.put v (Printf.sprintf "block %d" i) with
+          | Ok _ -> fill (i + 1)
+          | Error _ -> i
+        in
+        Alcotest.(check int) "two lines of 7 data blocks" 14 (fill 0);
+        match Venti.put_stream v (String.make 2000 'x') with
+        | Error _ -> ()
+        | Ok _ -> Alcotest.fail "stream stored into a full arena");
     Alcotest.test_case "mem reflects storage" `Quick (fun () ->
         let v = make () in
         let s = ok "put" (Venti.put v "x") in
