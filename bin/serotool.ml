@@ -39,9 +39,9 @@ let with_fs image f =
 (* {1 Commands} *)
 
 let mkdev image blocks line_exp ras endurance spares =
-  let base = Sero.Device.default_config ~n_blocks:blocks ~line_exp () in
   let config =
-    if ras then { base with Sero.Device.ras = Sero.Device.active_ras } else base
+    { (Sero.Device.default_config ~n_blocks:blocks ~line_exp ()) with
+      Sero.Device.ras }
   in
   let config =
     match (endurance, spares) with
@@ -58,8 +58,10 @@ let mkdev image blocks line_exp ras endurance spares =
         in
         { config with Sero.Device.endurance = e }
   in
-  match Sero.Device.create config with
-  | dev ->
+  match Sero.Device.validate_config config with
+  | Error e -> err "%s" e
+  | Ok config ->
+      let dev = Sero.Device.create config in
       Sero.Image.save dev image;
       let e = (Sero.Device.config dev).Sero.Device.endurance in
       Format.fprintf std "created %s: %d blocks, lines of %d%s%s@." image blocks
@@ -72,7 +74,6 @@ let mkdev image blocks line_exp ras endurance spares =
          else "");
       Format.pp_print_flush std ();
       `Ok ()
-  | exception Invalid_argument e -> err "%s" e
 
 let mkfs image =
   with_device image (fun dev ->
@@ -916,17 +917,18 @@ let fleet_cmd devices ops seed jobs =
     let f = Expt.Fleet_study.run_fleet ~seed ~ops devices in
     let p50, p95, p99 = Sim.Stats.quantiles f.Expt.Fleet_study.f_lat in
     Format.printf
-      "fleet: %d devices (%d jobs), %d ops, %d events, %d scheduler \
-       comparisons@."
-      f.Expt.Fleet_study.f_devices (Sim.Pool.jobs ())
-      f.Expt.Fleet_study.f_ops f.Expt.Fleet_study.f_events
-      f.Expt.Fleet_study.f_sched_work;
+      "fleet: %d devices, %d ops, %d events, %d scheduler comparisons@."
+      f.Expt.Fleet_study.f_devices f.Expt.Fleet_study.f_ops
+      f.Expt.Fleet_study.f_events f.Expt.Fleet_study.f_sched_work;
     Format.printf
       "fleet: latency p50/p95/p99 = %.3f/%.3f/%.3f ms, %d scrub rewrites, \
        %d CoW segments@."
       p50 p95 p99 f.Expt.Fleet_study.f_scrub_rewrites
       f.Expt.Fleet_study.f_cow_segments;
-    Format.printf "fleet: peak OCaml heap %d MB@."
+    (* The worker count and the heap peak vary with -j; stdout must
+       not. *)
+    Format.eprintf "fleet: %d jobs, peak OCaml heap %d MB@."
+      (Sim.Pool.jobs ())
       (Gc.((quick_stat ()).top_heap_words) * 8 / 1_048_576);
     if f.Expt.Fleet_study.f_tampers = 0 && f.Expt.Fleet_study.f_fails = 0
     then begin

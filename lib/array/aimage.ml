@@ -1,16 +1,5 @@
 let magic = "SEROARR1"
 
-let policy_string = function
-  | Probe.Sched.Fifo -> "fifo"
-  | Probe.Sched.Sstf -> "sstf"
-  | Probe.Sched.Elevator -> "elevator"
-
-let policy_of_string = function
-  | "fifo" -> Probe.Sched.Fifo
-  | "sstf" -> Probe.Sched.Sstf
-  | "elevator" -> Probe.Sched.Elevator
-  | s -> failwith (Printf.sprintf "unknown policy %S" s)
-
 let state_string = function
   | Volume.Active -> "active"
   | Volume.Lost -> "lost"
@@ -47,8 +36,6 @@ let save v path =
   pr "member_blocks %d\n" cfg.Volume.member_blocks;
   pr "line_exp %d\n" cfg.Volume.line_exp;
   pr "seed %d\n" cfg.Volume.seed;
-  pr "policy %s\n" (policy_string cfg.Volume.policy);
-  pr "retry %d %h\n" cfg.Volume.read_retry_limit cfg.Volume.retry_backoff;
   (match cfg.Volume.cache_capacity with
   | Some c -> pr "cache %d\n" c
   | None -> pr "cache none\n");
@@ -109,9 +96,6 @@ let load path =
                   convictions = int_of_string c;
                   unreadable = int_of_string u;
                 }
-          | [ "retry"; l; b ] ->
-              Hashtbl.replace fields "retry_limit" l;
-              Hashtbl.replace fields "retry_backoff" b
           | [ k; v ] -> Hashtbl.replace fields k v
           | _ -> failwith (Printf.sprintf "bad manifest line %S" line))
       lines;
@@ -125,13 +109,9 @@ let load path =
         member_blocks = geti "member_blocks";
         line_exp = geti "line_exp";
         seed = geti "seed";
-        (* RAS/endurance live inside each member image's device config;
+        (* Endurance lives inside each member image's device config;
            the manifest only carries the volume-level knobs. *)
-        ras = Sero.Device.active_ras;
         endurance = Sero.Device.active_endurance;
-        policy = policy_of_string (Hashtbl.find fields "policy");
-        read_retry_limit = geti "retry_limit";
-        retry_backoff = float_of_string (Hashtbl.find fields "retry_backoff");
         cache_capacity =
           (match Hashtbl.find fields "cache" with
           | "none" -> None

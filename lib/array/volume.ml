@@ -7,11 +7,7 @@ type config = {
   member_blocks : int;
   line_exp : int;
   seed : int;
-  ras : Sero.Device.ras;
   endurance : Sero.Device.endurance;
-  policy : Probe.Sched.policy;
-  read_retry_limit : int;
-  retry_backoff : float;
   cache_capacity : int option;
 }
 
@@ -25,11 +21,7 @@ let default_config ?(slots = 4) ?(replication = 2) ?(spares = 1)
     member_blocks;
     line_exp;
     seed;
-    ras = Sero.Device.active_ras;
     endurance;
-    policy = Probe.Sched.Elevator;
-    read_retry_limit = 2;
-    retry_backoff = 1e-4;
     cache_capacity;
   }
 
@@ -100,13 +92,12 @@ let events v = List.rev v.event_log
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
 
+(* Every member queue re-serves a failed read this many times. *)
+let read_retry_limit = 2
+
 let wrap_device cfg dev =
   let des = Sim.Des.create () in
-  let q =
-    Sero.Queue.create ~policy:cfg.policy
-      ~read_retry_limit:cfg.read_retry_limit ~retry_backoff:cfg.retry_backoff
-      des dev
-  in
+  let q = Sero.Queue.create ~read_retry_limit des dev in
   let io =
     match cfg.cache_capacity with
     | Some capacity -> Sero.Blockio.Cache (Sero.Bcache.create ~capacity q)
@@ -127,7 +118,7 @@ let member_config cfg i =
   {
     base with
     Sero.Device.seed = cfg.seed + i;
-    ras = cfg.ras;
+    ras = true;
     endurance = cfg.endurance;
   }
 

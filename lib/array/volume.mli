@@ -39,16 +39,15 @@ type config = {
   member_blocks : int;  (** Blocks per member device. *)
   line_exp : int;
   seed : int;  (** Base seed; member [i] gets [seed + i]. *)
-  ras : Sero.Device.ras;
   endurance : Sero.Device.endurance;
-  policy : Probe.Sched.policy;
-  read_retry_limit : int;
-  retry_backoff : float;
   cache_capacity : int option;
       (** Per-member {!Sero.Bcache} capacity: [Some n] makes the
           member's {!Sero.Blockio} port a cache over its queue, [None]
           the bare queue. *)
 }
+(** Every member device has RAS on, and every member queue schedules
+    with {!Probe.Sched.Elevator} and re-serves a failed read twice
+    ({!Sero.Queue.create}'s [read_retry_limit]). *)
 
 val default_config :
   ?slots:int ->
@@ -62,8 +61,7 @@ val default_config :
   unit ->
   config
 (** 4 slots mirrored in pairs, 1 spare, 128-block members in lines of
-    8, seed 42, active RAS and endurance, elevator scheduling, 2 read
-    retries, per-member 32-block caches. *)
+    8, seed 42, active endurance, per-member 32-block caches. *)
 
 type t
 

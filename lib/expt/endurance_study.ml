@@ -44,7 +44,6 @@ let make_dev ~health_on =
         {
           Sero.Device.health_enabled = health_on;
           spare_lines;
-          ewma_alpha = 0.4;
           retire_margin;
         };
     }

@@ -30,19 +30,16 @@ let write_all dev pbas =
 
 let make_dev ~n_blocks ~ras_on =
   let base = Sero.Device.default_config ~n_blocks ~line_exp:3 () in
-  Sero.Device.create
-    {
-      base with
-      Sero.Device.ras =
-        (if ras_on then Sero.Device.active_ras else Sero.Device.default_ras);
-    }
+  Sero.Device.create { base with Sero.Device.ras = ras_on }
 
 (* One full cell: build, write clean, install the plan, sweep-read.
    Returns the row ingredients plus the injection ledger so the caller
    can check run-to-run determinism. *)
 let cell_once ~n_blocks ~sectors ~ber ~dead_tips ~ras_on ~plan_seed =
   let dev = make_dev ~n_blocks ~ras_on in
-  let n_tips = (Sero.Device.config dev).Sero.Device.n_tips in
+  let n_tips =
+    Probe.Tips.n_tips (Probe.Pdevice.tips (Sero.Device.pdevice dev))
+  in
   let pbas = data_pbas dev sectors in
   write_all dev pbas;
   let plan =

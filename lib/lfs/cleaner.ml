@@ -145,9 +145,14 @@ let as_background st f =
   State.set_io_prio st Sero.Queue.Background;
   Fun.protect ~finally:(fun () -> State.set_io_prio st saved) f
 
+(* The watermarks: clean when fewer than [low_water] segments are free,
+   until [high_water] are. *)
+let low_water = 3
+let high_water = 6
+
 let maybe_clean st =
   as_background st @@ fun () ->
-  if State.free_segments st < st.State.policy.State.cleaner_low then begin
+  if State.free_segments st < low_water then begin
     let continue = ref true in
     (* Every victim has dead blocks (fully live segments are never
        selected), so each pass makes fractional progress.  Work per
@@ -155,11 +160,8 @@ let maybe_clean st =
        reclaims almost nothing, and foreground writes should not stall
        behind an unbounded compaction — any remaining shortfall simply
        resurfaces at the next write. *)
-    let budget = ref (st.State.policy.State.cleaner_high + 2) in
-    while
-      !continue && !budget > 0
-      && State.free_segments st < st.State.policy.State.cleaner_high
-    do
+    let budget = ref (high_water + 2) in
+    while !continue && !budget > 0 && State.free_segments st < high_water do
       decr budget;
       match select_victim st with
       | None -> continue := false

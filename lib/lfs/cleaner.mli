@@ -26,7 +26,9 @@ val clean_segment : State.t -> int -> int
 (** Clean one segment: copy out live blocks, flush affected inodes,
     release the segment.  Returns the number of blocks copied. *)
 
+val low_water : int
+(** The low watermark: 3 free segments. *)
+
 val maybe_clean : State.t -> unit
-(** Enforce the policy watermarks: when free segments fall below
-    [cleaner_low], clean victims until [cleaner_high] (or nothing is
-    cleanable). *)
+(** Enforce the watermarks: when free segments fall below {!low_water},
+    clean victims until 6 are free (or nothing is cleanable). *)

@@ -122,7 +122,7 @@ let heat_with_relocation st ~ino =
   let needed =
     let blocks = List.length (File.all_block_pbas st ino) + 3 in
     (blocks * 6 / 5 / (st.State.usable_per_seg - 1))
-    + 1 + st.State.policy.State.cleaner_low
+    + 1 + Cleaner.low_water
   in
   let continue = ref true and budget = ref 16 in
   while !continue && !budget > 0 && State.free_segments st < needed do

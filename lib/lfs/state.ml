@@ -4,22 +4,13 @@ exception Fs_error of string
 exception Read_only_device
 (* The device's endurance state machine refuses all writes. *)
 
-type policy = {
-  clustering : bool;
-  segment_lines : int;
-  checkpoint_segments : int;
-  cleaner_low : int;
-  cleaner_high : int;
-}
+type policy = { clustering : bool; segment_lines : int }
 
-let default_policy =
-  {
-    clustering = true;
-    segment_lines = 4;
-    checkpoint_segments = 2;
-    cleaner_low = 3;
-    cleaner_high = 6;
-  }
+let default_policy = { clustering = true; segment_lines = 4 }
+
+(* Segments reserved at the device start for the two alternating
+   checkpoint halves. *)
+let checkpoint_segments = 2
 
 type metrics = {
   mutable user_bytes_written : int;
@@ -72,8 +63,8 @@ let create ?(policy = default_policy) ?(icache_cap = default_icache_cap)
   if policy.segment_lines <= 0 || n_lines mod policy.segment_lines <> 0 then
     raise (Fs_error "segment_lines must divide the usable line count");
   let n_segs = n_lines / policy.segment_lines in
-  if policy.checkpoint_segments < 2 || policy.checkpoint_segments >= n_segs
-  then raise (Fs_error "need at least 2 checkpoint segments and data room");
+  if checkpoint_segments >= n_segs then
+    raise (Fs_error "need at least 2 checkpoint segments and data room");
   let usable_per_seg =
     policy.segment_lines * Sero.Layout.data_blocks_per_line lay
   in
@@ -129,7 +120,7 @@ let now t = Probe.Pdevice.elapsed (Sero.Device.pdevice t.dev)
 
 (* {1 Geometry} *)
 
-let first_data_segment t = t.policy.checkpoint_segments
+let first_data_segment _ = checkpoint_segments
 let data_per_line t = Sero.Layout.data_blocks_per_line t.lay
 let blocks_per_line t = Sero.Layout.blocks_per_line t.lay
 
@@ -405,7 +396,7 @@ let write_checkpoint t =
   let blob = checkpoint_blob t in
   if String.length blob > checkpoint_half_capacity t then
     raise (Fs_error "checkpoint exceeds the reserved area");
-  let half = t.seq mod t.policy.checkpoint_segments in
+  let half = t.seq mod checkpoint_segments in
   let payload_bytes = Codec.Sector.payload_bytes in
   let n_chunks = (String.length blob + payload_bytes - 1) / payload_bytes in
   for chunk = 0 to n_chunks - 1 do
@@ -459,7 +450,7 @@ let read_latest_checkpoint dev policy =
   let candidates =
     List.filter_map
       (fun half -> read_checkpoint_half dev policy half)
-      (List.init policy.checkpoint_segments (fun i -> i))
+      (List.init checkpoint_segments (fun i -> i))
   in
   List.fold_left
     (fun best (c : Enc.checkpoint) ->

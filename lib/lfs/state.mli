@@ -25,10 +25,9 @@ exception Read_only_device
 type policy = {
   clustering : bool;
   segment_lines : int;  (** Lines per segment (default 4). *)
-  checkpoint_segments : int;  (** Reserved at the device start (2). *)
-  cleaner_low : int;  (** Clean when free segments drop below this. *)
-  cleaner_high : int;  (** Clean until this many segments are free. *)
 }
+(** The first 2 segments of the device always hold the checkpoint
+    halves; the cleaner's watermarks are {!Cleaner.maybe_clean}'s. *)
 
 val default_policy : policy
 

@@ -1,19 +1,11 @@
-type config = {
-  n_tips : int;
-  spare_tips : int;
-  costs : Timing.costs;
-  profile : Physics.Thermal.profile option;
-  erb_cycles : int;
-}
+type config = { n_tips : int; spare_tips : int; costs : Timing.costs }
 
 let default_config =
-  {
-    n_tips = 256;
-    spare_tips = 0;
-    costs = Timing.default_costs;
-    profile = None;
-    erb_cycles = 8;
-  }
+  { n_tips = 256; spare_tips = 0; costs = Timing.default_costs }
+
+(* Invert/verify rounds per electrical bit read: one erb protocol for
+   the whole device, as in the paper. *)
+let erb_cycles = 8
 
 type t = {
   medium : Pmedia.Medium.t;
@@ -21,20 +13,19 @@ type t = {
   tips : Tips.t;
   actuator : Actuator.t;
   timing : Timing.t;
-  config : config;
   mutable fault : Fault.Injector.t option;
 }
 
 let create ?(config = default_config) medium =
   let timing = Timing.create ~costs:config.costs () in
   let tips = Tips.create ~spares:config.spare_tips ~n_tips:config.n_tips medium in
-  let bitops = Pmedia.Bitops.make ?profile:config.profile medium in
+  let bitops = Pmedia.Bitops.make medium in
   let actuator =
     Actuator.create timing
       ~pitch:(Pmedia.Medium.config medium).Pmedia.Medium.geometry.pitch
       ~field_cols:(Tips.field_cols tips)
   in
-  { medium; bitops; tips; actuator; timing; config; fault = None }
+  { medium; bitops; tips; actuator; timing; fault = None }
 
 (* CoW device snapshot: the medium clones copy-on-write, everything
    else (ledgers, tips, sled position, op counters) deep-copies so the
@@ -53,7 +44,6 @@ let clone t =
     tips = Tips.copy t.tips;
     actuator = Actuator.copy t.actuator timing;
     timing;
-    config = t.config;
     fault = None;
   }
 
@@ -284,7 +274,7 @@ let erb_run_into ?cycles t ~start ~len ~dst =
   check_run t start len;
   if Array.length dst < len then
     invalid_arg "Pdevice.erb_run_into: dst too short";
-  let cycles = Option.value cycles ~default:t.config.erb_cycles in
+  let cycles = Option.value cycles ~default:erb_cycles in
   (* Each cycle is read, write, read, write, read = 3 reads + 2 writes
      of the whole tip row. *)
   run_offsets t ~start ~len

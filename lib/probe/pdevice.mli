@@ -22,18 +22,14 @@ type config = {
       (** Physical tips reserved for {!Tips.remap_tip}; they serve no
           dots until a failed tip's field is remapped onto one. *)
   costs : Timing.costs;
-  profile : Physics.Thermal.profile option;
-      (** Electrical-write thermal profile; [None] = default for the
-          medium geometry. *)
-  erb_cycles : int;
-      (** Invert/verify rounds per electrical bit read (see
-          {!Pmedia.Bitops.erb}); the default 8 pushes the probability of
-          mistaking a heated dot for unheated below 2e-5. *)
 }
+(** Electrical writes use the medium geometry's default thermal profile
+    ({!Physics.Thermal.default_profile}), and every electrical bit read
+    runs 8 invert/verify rounds (see {!Pmedia.Bitops.erb}), which pushes
+    the probability of mistaking a heated dot for unheated below 2e-5. *)
 
 val default_config : config
-(** 256 tips, no spares, default costs, default profile, 8 erb
-    cycles. *)
+(** 256 tips, no spares, default costs. *)
 
 val create : ?config:config -> Pmedia.Medium.t -> t
 
@@ -95,7 +91,7 @@ val heat_run : t -> start:int -> bool array -> unit
 
 val erb_run : ?cycles:int -> t -> start:int -> len:int -> bool array
 (** Electrical read: [true] = detected heated.  [cycles] overrides the
-    config's [erb_cycles].  One cycle misses a heated dot with
+    device's 8 invert/verify rounds.  One cycle misses a heated dot with
     probability 1/4 (the two verification reads of the paper's sequence
     both agree by luck), so callers that must not miss escalate the
     cycle count on suspicious dots. *)

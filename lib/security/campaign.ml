@@ -189,7 +189,7 @@ let make_golden () =
       (Sero.Device.default_config ~n_blocks:golden_blocks
          ~line_exp:golden_line_exp ())
       with
-      ras = Sero.Device.active_ras;
+      ras = true;
       endurance = Sero.Device.active_endurance;
     }
   in

@@ -1,64 +1,35 @@
-type ras = {
-  ras_enabled : bool;
-  read_retries : int;
-  max_repulses : int;
-  spare_tips : int;
-  scrub_threshold : int;
-}
+(* The RAS profile: with [ras] on, a failed read is retried this many
+   times, an incomplete burn is re-pulsed this many times, and the tip
+   array carries this many spare tips. *)
+let read_retries = 3
+let max_repulses = 2
+let ras_spare_tips = 4
 
-let default_ras =
-  {
-    ras_enabled = false;
-    read_retries = 0;
-    max_repulses = 0;
-    spare_tips = 0;
-    scrub_threshold = 6;
-  }
-
-let active_ras =
-  {
-    ras_enabled = true;
-    read_retries = 3;
-    max_repulses = 2;
-    spare_tips = 4;
-    scrub_threshold = 6;
-  }
+(* Every device has one probe array of this many tips, over a Co/Pt
+   medium. *)
+let n_tips = 32
 
 type endurance = {
   health_enabled : bool;
   spare_lines : int;
-  ewma_alpha : float;
   retire_margin : float;
 }
 
 let default_endurance =
-  {
-    health_enabled = false;
-    spare_lines = 0;
-    ewma_alpha = 0.4;
-    retire_margin = 0.5;
-  }
+  { health_enabled = false; spare_lines = 0; retire_margin = 0.5 }
 
 let active_endurance =
-  {
-    health_enabled = true;
-    spare_lines = 4;
-    ewma_alpha = 0.4;
-    retire_margin = 0.5;
-  }
+  { health_enabled = true; spare_lines = 4; retire_margin = 0.5 }
 
 type config = {
   n_blocks : int;
   line_exp : int;
-  n_tips : int;
   seed : int;
   defect_rate : float;
   geometry : Physics.Constants.dot_geometry;
-  material : Physics.Constants.material;
   costs : Probe.Timing.costs;
-  erb_cycles : int;
   strict_hash_locations : bool;
-  ras : ras;
+  ras : bool;
   endurance : endurance;
 }
 
@@ -66,15 +37,12 @@ let default_config ?(n_blocks = 512) ?(line_exp = 3) () =
   {
     n_blocks;
     line_exp;
-    n_tips = 32;
     seed = 42;
     defect_rate = 0.;
     geometry = Physics.Constants.dot_100nm;
-    material = Physics.Constants.co_pt;
     costs = Probe.Timing.default_costs;
-    erb_cycles = 8;
     strict_hash_locations = true;
-    ras = default_ras;
+    ras = false;
     endurance = default_endurance;
   }
 
@@ -183,8 +151,8 @@ type t = {
   mutable fault_listeners : (unit -> unit) list;
 }
 
-(* The geometry checks [Layout.create] and [Tips.create] raise on, as
-   a result, so that a loaded image header can be refused cleanly. *)
+(* The geometry checks [Layout.create] raises on, as a result, so that
+   a loaded image header can be refused cleanly. *)
 let validate_config c =
   let spare_lines = c.endurance.spare_lines in
   if c.line_exp < 1 || c.line_exp > 20 then
@@ -193,9 +161,6 @@ let validate_config c =
     Error "Layout.create: n_blocks must be a positive multiple of 2^N"
   else if spare_lines < 0 || spare_lines >= c.n_blocks lsr c.line_exp then
     Error "Layout.create: spare_lines must be in 0..n_lines-1"
-  else if c.n_tips <= 0 then Error "Tips.create: n_tips must be positive"
-  else if c.ras.spare_tips < 0 then
-    Error "Tips.create: spares must be non-negative"
   else Ok c
 
 let create config =
@@ -212,18 +177,16 @@ let create config =
         Pmedia.Medium.rows = config.n_blocks;
         cols = Layout.block_dots;
         geometry = config.geometry;
-        material = config.material;
+        material = Physics.Constants.co_pt;
         defect_rate = config.defect_rate;
         seed = config.seed;
       }
   in
   let pconfig =
     {
-      Probe.Pdevice.n_tips = config.n_tips;
-      spare_tips = config.ras.spare_tips;
+      Probe.Pdevice.n_tips;
+      spare_tips = (if config.ras then ras_spare_tips else 0);
       costs = config.costs;
-      profile = None;
-      erb_cycles = config.erb_cycles;
     }
   in
   let n_lines = Layout.n_lines layout in
@@ -243,15 +206,7 @@ let create config =
           !n
         end)
   in
-  let health =
-    Health.create
-      ~config:
-        {
-          Health.alpha = config.endurance.ewma_alpha;
-          retire_margin = config.endurance.retire_margin;
-        }
-      ~n_lines ()
-  in
+  let health = Health.create ~n_lines in
   Array.iteri (fun l n -> Health.set_defects health ~line:l n) defects_of_phys;
   {
     config;
@@ -420,7 +375,7 @@ let clear_fault t = Probe.Pdevice.clear_fault t.pdevice
 (* Remap every logical tip whose serving unit is broken onto the next
    healthy spare; returns how many remaps happened. *)
 let service_failed_tips t =
-  if t.config.ras.spare_tips = 0 then 0
+  if not t.config.ras then 0
   else begin
     let tips = Probe.Pdevice.tips t.pdevice in
     let n = ref 0 in
@@ -547,7 +502,7 @@ let ras_reread t ~pba first =
   ignore (service_failed_tips t);
   let line = Layout.line_of_block t.layout pba in
   let rec retry n last =
-    if n >= t.config.ras.read_retries then last
+    if n >= read_retries then last
     else begin
       t.retries <- t.retries + 1;
       match read_block_once t ~pba with
@@ -567,7 +522,7 @@ let read_block t ~pba =
   match read_block_once t ~pba with
   | (Ok _ | Error Blank) as r -> r
   | Error _ as first ->
-      if not t.config.ras.ras_enabled then first else ras_reread t ~pba first
+      if not t.config.ras then first else ras_reread t ~pba first
 
 (* Coalesced sector reads: [n] consecutive blocks in one sled pass.
    When the span is on the lean packed dispatch (healthy tips, no
@@ -594,7 +549,7 @@ let read_blocks t ~pba ~n =
   let start = Layout.block_first_dot t.layout pba in
   if
     n > 1
-    && Layout.block_dots mod t.config.n_tips = 0
+    && Layout.block_dots mod n_tips = 0
     && span_identity t ~pba ~n
     && Probe.Pdevice.packed_read_lean t.pdevice ~start ~len
   then begin
@@ -605,8 +560,7 @@ let read_blocks t ~pba ~n =
         match decode_image_sub t ~pba sc.sc_span ~off:(k * bytes_per_block) with
         | (Ok _ | Error Blank) as r -> r
         | Error _ as first ->
-            if not t.config.ras.ras_enabled then first
-            else ras_reread t ~pba first)
+            if not t.config.ras then first else ras_reread t ~pba first)
   end
   else Array.init n (fun k -> read_block t ~pba:(pba + k))
 
@@ -817,6 +771,25 @@ let heat_run t ~start pattern =
 let burn_wo_area t ~start ~payload =
   heat_run t ~start (Codec.Manchester.encode payload)
 
+(* Burn [payload] into [line]'s write-once area and read it back; with
+   RAS, re-pulse while the readback still looks like an incomplete burn
+   (blank or torn) rather than evidence.  Re-burning is idempotent: ewb
+   on an already-heated dot is a no-op, so each attempt only fills the
+   missing cells.  [true] once the area reads back as a burn of [hash]. *)
+let burn_and_verify t ~line ~hash payload =
+  let start = wo_start t ~line in
+  let attempts = 1 + if t.config.ras then max_repulses else 0 in
+  let rec go n =
+    burn_wo_area t ~start ~payload;
+    match read_hash_block t ~line with
+    | `Burned meta when Hash.Sha256.equal meta.hash hash -> true
+    | (`Not_heated | `Torn _) when n < attempts ->
+        t.repulses <- t.repulses + 1;
+        go (n + 1)
+    | `Not_heated | `Torn _ | `Burned _ | `Tampered _ -> false
+  in
+  go 1
+
 let heat_line_inner t ~line ~timestamp =
   t.heats <- t.heats + 1;
   let payloads, unreadable, relocated = read_line t ~line in
@@ -824,34 +797,9 @@ let heat_line_inner t ~line ~timestamp =
     Error (Unreadable_data (unreadable @ relocated))
   else begin
     let hash = line_hash_of_payloads ~line payloads in
-    let start = wo_start t ~line in
-    (* Burn, verify, and (with RAS) re-pulse while the readback still
-       looks like an incomplete burn rather than tamper evidence.
-       Re-burning is idempotent: ewb on an already-heated dot is a
-       no-op, so each attempt only fills the missing cells. *)
-    let burn_and_verify payload =
-      let attempts =
-        1 + if t.config.ras.ras_enabled then t.config.ras.max_repulses else 0
-      in
-      let rec go n =
-        burn_wo_area t ~start ~payload;
-        match read_hash_block t ~line with
-        | `Burned meta when Hash.Sha256.equal meta.hash hash -> Ok hash
-        | (`Not_heated | `Torn _ | `Tampered _ | `Burned _) as readback ->
-            let incomplete =
-              match readback with
-              | `Not_heated | `Torn _ -> true
-              | `Tampered evs ->
-                  List.for_all (( = ) Tamper.Partially_burned) evs
-              | `Burned _ -> false
-            in
-            if incomplete && n < attempts then begin
-              t.repulses <- t.repulses + 1;
-              go (n + 1)
-            end
-            else Error Burn_verify_failed
-      in
-      go 1
+    let burn payload =
+      if burn_and_verify t ~line ~hash payload then Ok hash
+      else Error Burn_verify_failed
     in
     match read_hash_block t ~line with
     | `Burned meta when Hash.Sha256.equal meta.hash hash ->
@@ -876,10 +824,9 @@ let heat_line_inner t ~line ~timestamp =
           (fun h ->
             t.torn_completions <- t.torn_completions + 1;
             h)
-          (burn_and_verify payload)
+          (burn payload)
     | `Not_heated ->
-        burn_and_verify
-          (wo_payload ~hash ~line ~n_data:(List.length payloads) ~timestamp)
+        burn (wo_payload ~hash ~line ~n_data:(List.length payloads) ~timestamp)
   end
 
 let heat_line t ~line ?(timestamp = 0.) () =
@@ -1259,24 +1206,12 @@ let evacuate_line t ~line ?(timestamp = 0.) () =
                   wo_payload ~hash:meta.hash ~line
                     ~n_data:meta.n_data_blocks ~timestamp:meta.timestamp
                 in
-                let attempts =
-                  1
-                  + if t.config.ras.ras_enabled then t.config.ras.max_repulses
-                    else 0
-                in
-                let rec go n =
-                  burn_wo_area t ~start:(wo_start t ~line) ~payload;
-                  match read_hash_block t ~line with
-                  | `Burned got when Hash.Sha256.equal got.hash meta.hash ->
-                      finish (Ok m)
-                  | (`Not_heated | `Torn _) when n < attempts ->
-                      t.repulses <- t.repulses + 1;
-                      go (n + 1)
-                  | _ ->
-                      t.reattest_failures <- t.reattest_failures + 1;
-                      finish (Error Reattest_failed)
-                in
-                go 1
+                if burn_and_verify t ~line ~hash:meta.hash payload then
+                  finish (Ok m)
+                else begin
+                  t.reattest_failures <- t.reattest_failures + 1;
+                  finish (Error Reattest_failed)
+                end
           in
           match wo with
           | `Not_heated -> proceed None

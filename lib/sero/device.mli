@@ -26,24 +26,6 @@
 
 type t
 
-type ras = {
-  ras_enabled : bool;
-      (** Master switch for read retry, burn re-pulse and torn-burn
-          completion; tip sparing additionally needs [spare_tips > 0]. *)
-  read_retries : int;  (** Extra {!read_block} attempts on failure. *)
-  max_repulses : int;  (** Extra burn attempts before giving up. *)
-  spare_tips : int;  (** Physical spare tips built into the array. *)
-  scrub_threshold : int;
-      (** Corrected-symbol count at which {!Scrub} rewrites a sector. *)
-}
-
-val default_ras : ras
-(** Everything off — the fail-stop device of the paper. *)
-
-val active_ras : ras
-(** A serviceable profile: 3 retries, 2 re-pulses, 4 spare tips,
-    rewrite at 6 corrected symbols. *)
-
 type endurance = {
   health_enabled : bool;
       (** Gate for retirement {e decisions} ({!line_due}, {!maintenance},
@@ -53,44 +35,47 @@ type endurance = {
   spare_lines : int;
       (** Lines reserved at format time at the top of the address space
           for grown-defect remapping ({!Layout.usable_lines}). *)
-  ewma_alpha : float;  (** Smoothing for the per-line error EWMA. *)
   retire_margin : float;
       (** RS-budget margin at or below which a line is evacuated. *)
 }
+(** The per-line error level is an EWMA with smoothing 0.4 (see
+    {!Health}). *)
 
 val default_endurance : endurance
 (** Lifecycle off, no spares. *)
 
 val active_endurance : endurance
-(** Lifecycle on: 4 spare lines, alpha 0.4, retire at margin 0.5. *)
+(** Lifecycle on: 4 spare lines, retire at margin 0.5. *)
 
 type config = {
   n_blocks : int;
   line_exp : int;  (** Lines are [2^line_exp] blocks. *)
-  n_tips : int;
   seed : int;
   defect_rate : float;
   geometry : Physics.Constants.dot_geometry;
-  material : Physics.Constants.material;
   costs : Probe.Timing.costs;
-  erb_cycles : int;
   strict_hash_locations : bool;
       (** When [false] (ablation only), {!verify_line} accepts a burned
           hash found at {e any} block of the line. *)
-  ras : ras;
+  ras : bool;
+      (** Read retry, burn re-pulse and tip sparing.  Off, the device
+          is the fail-stop device of the paper; on, a failed read is
+          retried 3 times, an incomplete burn is re-pulsed twice and
+          the tip array carries 4 spare tips. *)
   endurance : endurance;
 }
+(** Every device has one probe array of 32 tips over a Co/Pt medium
+    ({!Physics.Constants.co_pt}) and reads electrically with 8
+    invert/verify rounds per bit ({!Probe.Pdevice}). *)
 
 val default_config : ?n_blocks:int -> ?line_exp:int -> unit -> config
-(** 512 blocks in lines of 8, 32 tips, seed 42, no defects, 100 nm
-    Co/Pt medium, default costs, 8 erb cycles, strict locations, RAS
-    off. *)
+(** 512 blocks in lines of 8, seed 42, no defects, 100 nm dots,
+    default costs, strict locations, RAS and endurance off. *)
 
 val validate_config : config -> (config, string) result
 (** [Ok config] when {!create} accepts it, else [Error] naming the
-    first bad geometry field (line size, block count, spare lines, tip
-    count or spare tips) with the message {!Layout.create} or
-    {!Probe.Tips.create} would raise. *)
+    first bad geometry field (line size, block count or spare lines)
+    with the message {!Layout.create} would raise. *)
 
 val create : config -> t
 (** @raise Invalid_argument when {!validate_config} gives [Error]. *)
@@ -153,8 +138,8 @@ val add_mutation_listener : t -> (pba:int -> n:int -> unit) -> unit
     stale copies so they can never mask a tamper verdict. *)
 
 val service_failed_tips : t -> int
-(** Remap every failed logical tip onto a healthy spare (when [ras]
-    reserves any); returns the number of remaps performed.  Called
+(** Remap every failed logical tip onto a healthy spare (only a [ras]
+    device has spares); returns the number of remaps performed.  Called
     automatically by {!read_block}'s retry path and by {!Scrub}. *)
 
 (** {1 Magnetic sector operations} *)
@@ -179,9 +164,8 @@ val write_block : t -> pba:int -> string -> (unit, write_error) result
 
 val read_block : t -> pba:int -> (string, read_error) result
 (** [mrs]: read and unframe the 512-byte payload at [pba].  With
-    [ras.ras_enabled], a failed decode first remaps any failed tips
-    ({!service_failed_tips}) and then re-reads up to
-    [ras.read_retries] times — transient flips decorrelate between
+    [ras], a failed decode first remaps any failed tips
+    ({!service_failed_tips}) and then re-reads up to 3 times — transient flips decorrelate between
     attempts ([stats] counts attempts and wins). *)
 
 val read_blocks :
@@ -223,9 +207,9 @@ val heat_line :
     earlier burn, see {!read_hash_block}) is completed idempotently —
     re-burning only fills the missing cells, and if the line's data no
     longer matches the burned prefix the completion creates HH cells
-    and fails, preserving the tamper evidence.  With
-    [ras.ras_enabled], an incomplete post-burn readback is re-pulsed
-    up to [ras.max_repulses] times before [Burn_verify_failed]. *)
+    and fails, preserving the tamper evidence.  With [ras], an
+    incomplete (blank or torn) post-burn readback is re-pulsed up to
+    twice before [Burn_verify_failed]. *)
 
 val pp_heat_error : Format.formatter -> heat_error -> unit
 

@@ -1,6 +1,5 @@
-type config = { alpha : float; retire_margin : float }
-
-let default_config = { alpha = 0.4; retire_margin = 0.5 }
+(* EWMA smoothing factor of the per-line error level. *)
+let alpha = 0.4
 
 (* 24 RS parity symbols per 231-byte slice correct 12 symbols each; a
    sector interleaves 3 slices, so 36 corrected symbols is the point
@@ -17,7 +16,6 @@ type line_health = {
 }
 
 type t = {
-  cfg : config;
   lines : line_health array;
   mutable tip_remaps : int;
 }
@@ -32,13 +30,12 @@ let fresh_line () =
     defect_dots = 0;
   }
 
-let create ?(config = default_config) ~n_lines () =
+let create ~n_lines =
   if n_lines <= 0 then invalid_arg "Health.create: n_lines must be positive";
-  { cfg = config; lines = Array.init n_lines (fun _ -> fresh_line ()); tip_remaps = 0 }
+  { lines = Array.init n_lines (fun _ -> fresh_line ()); tip_remaps = 0 }
 
 let copy t =
   {
-    cfg = t.cfg;
     lines =
       Array.map
         (fun h ->
@@ -62,7 +59,7 @@ let line t ~line =
 let bump t ~line x =
   let h = t.lines.(line) in
   h.ewma_corrected <-
-    (t.cfg.alpha *. x) +. ((1. -. t.cfg.alpha) *. h.ewma_corrected)
+    (alpha *. x) +. ((1. -. alpha) *. h.ewma_corrected)
 
 let note_decode t ~line ~corrected =
   let h = t.lines.(line) in

@@ -9,17 +9,12 @@
     {e margin}: the fraction of the RS budget still unspent.  The
     device's endurance layer retires a line when its margin crosses the
     configured threshold, {e before} the next grown error is fatal.
+    The per-line error level is an EWMA with smoothing factor 0.4.
 
     Observation is unconditional and side-effect-free with respect to
     device behaviour: feeding the ledger never changes what a read or
     write returns, so a health-enabled device with no retirement due is
     bit-identical to a baseline device. *)
-
-type config = {
-  alpha : float;  (** EWMA smoothing factor in (0, 1]. *)
-  retire_margin : float;
-      (** Margin at or below which a line is due for evacuation. *)
-}
 
 type line_health = {
   mutable ewma_corrected : float;
@@ -34,7 +29,7 @@ type line_health = {
 
 type t
 
-val create : ?config:config -> n_lines:int -> unit -> t
+val create : n_lines:int -> t
 
 val copy : t -> t
 (** Independent ledger with the same per-line state — device cloning

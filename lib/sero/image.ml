@@ -1,4 +1,4 @@
-let magic_v4 = "SEROIMG4"
+let magic = "SEROIMG5"
 
 let write_float = Codec.Binio.W.f64
 let read_float = Codec.Binio.R.f64
@@ -19,7 +19,6 @@ let write_endurance w (dev : Device.t) =
   let lay = Device.layout dev in
   let e = cfg.Device.endurance in
   Codec.Binio.W.u8 w (if e.Device.health_enabled then 1 else 0);
-  write_float w e.Device.ewma_alpha;
   write_float w e.Device.retire_margin;
   Codec.Binio.W.u16 w e.Device.spare_lines;
   Codec.Binio.W.u8 w (dstate_code (Device.device_state dev));
@@ -61,10 +60,9 @@ let write_endurance w (dev : Device.t) =
 
 let read_endurance_config r =
   let health_enabled = Codec.Binio.R.u8 r = 1 in
-  let ewma_alpha = read_float r in
   let retire_margin = read_float r in
   let spare_lines = Codec.Binio.R.u16 r in
-  { Device.health_enabled; spare_lines; ewma_alpha; retire_margin }
+  { Device.health_enabled; spare_lines; retire_margin }
 
 (* The device must already exist (the remap table length is the line
    count, known only from the geometry fields read before it).  Returns
@@ -111,37 +109,19 @@ let save (dev : Device.t) path =
   let cfg = Device.config dev in
   let medium = Probe.Pdevice.medium (Device.pdevice dev) in
   let w = Codec.Binio.W.create ~capacity:4096 () in
-  Codec.Binio.W.raw w magic_v4;
+  Codec.Binio.W.raw w magic;
   Codec.Binio.W.u32 w cfg.Device.n_blocks;
   Codec.Binio.W.u8 w cfg.Device.line_exp;
-  Codec.Binio.W.u16 w cfg.Device.n_tips;
   Codec.Binio.W.u32 w cfg.Device.seed;
   write_float w cfg.Device.defect_rate;
   (* Geometry *)
   write_float w cfg.Device.geometry.Physics.Constants.diameter;
   write_float w cfg.Device.geometry.Physics.Constants.thickness;
   write_float w cfg.Device.geometry.Physics.Constants.pitch;
-  (* Material *)
-  Codec.Binio.W.str w cfg.Device.material.Physics.Constants.label;
-  write_float w cfg.Device.material.Physics.Constants.k_interface;
-  write_float w cfg.Device.material.Physics.Constants.ms;
-  write_float w cfg.Device.material.Physics.Constants.bilayer_period;
-  Codec.Binio.W.u16 w cfg.Device.material.Physics.Constants.n_bilayers;
-  write_float w cfg.Device.material.Physics.Constants.mix_activation_energy;
-  write_float w cfg.Device.material.Physics.Constants.mix_attempt_rate;
-  write_float w cfg.Device.material.Physics.Constants.cryst_activation_energy;
-  write_float w cfg.Device.material.Physics.Constants.cryst_attempt_rate;
-  write_float w cfg.Device.material.Physics.Constants.anneal_duration;
-  Codec.Binio.W.u8 w cfg.Device.erb_cycles;
   Codec.Binio.W.u8 w (if cfg.Device.strict_hash_locations then 1 else 0);
-  (* RAS profile (since format v3) *)
-  Codec.Binio.W.u8 w (if cfg.Device.ras.Device.ras_enabled then 1 else 0);
-  Codec.Binio.W.u8 w cfg.Device.ras.Device.read_retries;
-  Codec.Binio.W.u8 w cfg.Device.ras.Device.max_repulses;
-  Codec.Binio.W.u8 w cfg.Device.ras.Device.spare_tips;
-  Codec.Binio.W.u16 w cfg.Device.ras.Device.scrub_threshold;
-  (* Endurance lifecycle (since format v4): config, remap table, spare
-     pool, health ledger, grown-defect list. *)
+  Codec.Binio.W.u8 w (if cfg.Device.ras then 1 else 0);
+  (* Endurance lifecycle: config, remap table, spare pool, health
+     ledger, grown-defect list. *)
   write_endurance w dev;
   (* Dot states: 2 bits per dot, packed as the oracle sees them.  The
      medium's packed store already holds exactly this encoding (codes
@@ -228,66 +208,28 @@ let load path =
                 Codec.Binio.R.of_string (really_input_string ic header_len)
               in
               match
-            let m = Codec.Binio.R.raw r (String.length magic_v4) in
-            if not (String.equal m magic_v4) then failwith "bad magic";
+            let m = Codec.Binio.R.raw r (String.length magic) in
+            if not (String.equal m magic) then failwith "bad magic";
             let n_blocks = Codec.Binio.R.u32 r in
             let line_exp = Codec.Binio.R.u8 r in
-            let n_tips = Codec.Binio.R.u16 r in
             let seed = Codec.Binio.R.u32 r in
             let defect_rate = read_float r in
             let diameter = read_float r in
             let thickness = read_float r in
             let pitch = read_float r in
-            let label = Codec.Binio.R.str r in
-            let k_interface = read_float r in
-            let ms = read_float r in
-            let bilayer_period = read_float r in
-            let n_bilayers = Codec.Binio.R.u16 r in
-            let mix_activation_energy = read_float r in
-            let mix_attempt_rate = read_float r in
-            let cryst_activation_energy = read_float r in
-            let cryst_attempt_rate = read_float r in
-            let anneal_duration = read_float r in
-            let erb_cycles = Codec.Binio.R.u8 r in
             let strict = Codec.Binio.R.u8 r = 1 in
-            let ras_enabled = Codec.Binio.R.u8 r = 1 in
-            let read_retries = Codec.Binio.R.u8 r in
-            let max_repulses = Codec.Binio.R.u8 r in
-            let spare_tips = Codec.Binio.R.u8 r in
-            let scrub_threshold = Codec.Binio.R.u16 r in
+            let ras = Codec.Binio.R.u8 r = 1 in
             let endurance = read_endurance_config r in
             let config =
               {
                 Device.n_blocks;
                 line_exp;
-                n_tips;
                 seed;
                 defect_rate;
                 geometry = { Physics.Constants.diameter; thickness; pitch };
-                material =
-                  {
-                    Physics.Constants.label;
-                    k_interface;
-                    ms;
-                    bilayer_period;
-                    n_bilayers;
-                    mix_activation_energy;
-                    mix_attempt_rate;
-                    cryst_activation_energy;
-                    cryst_attempt_rate;
-                    anneal_duration;
-                  };
                 costs = Probe.Timing.default_costs;
-                erb_cycles;
                 strict_hash_locations = strict;
-                ras =
-                  {
-                    Device.ras_enabled;
-                    read_retries;
-                    max_repulses;
-                    spare_tips;
-                    scrub_threshold;
-                  };
+                ras;
                 endurance;
               }
             in

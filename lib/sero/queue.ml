@@ -55,7 +55,6 @@ type t = {
   policy : Probe.Sched.policy;
   coalesce : bool;
   read_retry_limit : int;
-  retry_backoff : float;
   mutable pending_fg : req list; (* newest first *)
   mutable pending_bg : req list; (* newest first *)
   mutable busy : bool;
@@ -88,19 +87,20 @@ let class_stats_create name =
 (* Longest coalesced read span, in blocks. *)
 let span_limit = 8
 
+(* The first read retry waits this many simulated seconds; each
+   further one doubles it. *)
+let retry_backoff = 1e-4
+
 let create ?(policy = Probe.Sched.Elevator) ?(coalesce = true)
-    ?(read_retry_limit = 0) ?(retry_backoff = 1e-4) des dev =
+    ?(read_retry_limit = 0) des dev =
   if read_retry_limit < 0 then
     invalid_arg "Queue.create: read_retry_limit must be >= 0";
-  if retry_backoff <= 0. then
-    invalid_arg "Queue.create: retry_backoff must be positive";
   {
     des;
     dev;
     policy;
     coalesce;
     read_retry_limit;
-    retry_backoff;
     pending_fg = [];
     pending_bg = [];
     busy = false;
@@ -288,7 +288,7 @@ let rec serve_group t group =
                 r.attempts <- r.attempts + 1;
                 t.retried_reads <- t.retried_reads + 1;
                 let delay =
-                  t.retry_backoff *. (2. ** float_of_int (r.attempts - 1))
+                  retry_backoff *. (2. ** float_of_int (r.attempts - 1))
                 in
                 t.retry_pending <- t.retry_pending + 1;
                 Sim.Des.schedule des ~delay (fun _ ->

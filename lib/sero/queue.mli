@@ -51,7 +51,6 @@ val create :
   ?policy:Probe.Sched.policy ->
   ?coalesce:bool ->
   ?read_retry_limit:int ->
-  ?retry_backoff:float ->
   Sim.Des.t ->
   Device.t ->
   t
@@ -63,10 +62,10 @@ val create :
     Request-level RAS: a read that completes with [Error] is re-queued
     up to [read_retry_limit] times (default 0 — deliver errors
     immediately) with deterministic exponential backoff off the DES
-    clock: the nth retry waits [retry_backoff * 2^(n-1)] simulated
-    seconds (default backoff 100 us).  The original submit time is
-    kept, so latency percentiles see the whole ordeal; only the final
-    delivery updates the completion counters. *)
+    clock: the nth retry waits [100 us * 2^(n-1)] of simulated time.
+    The original submit time is kept, so latency percentiles see the
+    whole ordeal; only the final delivery updates the completion
+    counters. *)
 
 val device : t -> Device.t
 val des : t -> Sim.Des.t

@@ -47,28 +47,39 @@ let stats t =
 let max_block = Codec.Sector.payload_bytes - 2 (* u16 length header *)
 let data_per_line t = Sero.Layout.data_blocks_per_line t.lay
 
+let ( let* ) = Result.bind
+
 let heat_line t line =
   (* Pad unwritten data blocks so the device can hash the line. *)
-  List.iter
-    (fun pba ->
-      match Sero.Device.read_block t.dev ~pba with
-      | Ok _ -> ()
-      | Error _ ->
-          (match
-             Sero.Device.write_block t.dev ~pba
-               (String.make Codec.Sector.payload_bytes '\x00')
-           with
-          | Ok () -> ()
-          | Error e ->
-              failwith
-                (Format.asprintf "venti: pad of %d refused: %a" pba
-                   Sero.Device.pp_write_error e)))
-    (Sero.Layout.data_blocks_of_line t.lay line);
+  let pad pba =
+    match Sero.Device.read_block t.dev ~pba with
+    | Ok _ -> Ok ()
+    | Error _ -> (
+        match
+          Sero.Device.write_block t.dev ~pba
+            (String.make Codec.Sector.payload_bytes '\x00')
+        with
+        | Ok () -> Ok ()
+        | Error e ->
+            Error
+              (Format.asprintf "venti: pad of %d refused: %a" pba
+                 Sero.Device.pp_write_error e))
+  in
+  let* () =
+    List.fold_left
+      (fun acc pba ->
+        let* () = acc in
+        pad pba)
+      (Ok ())
+      (Sero.Layout.data_blocks_of_line t.lay line)
+  in
   match Sero.Device.heat_line t.dev ~line () with
-  | Ok _ -> t.lines_heated <- t.lines_heated + 1
-  | Error Sero.Device.Already_heated -> ()
+  | Ok _ ->
+      t.lines_heated <- t.lines_heated + 1;
+      Ok ()
+  | Error Sero.Device.Already_heated -> Ok ()
   | Error e ->
-      failwith
+      Error
         (Format.asprintf "venti: heat of line %d failed: %a" line
            Sero.Device.pp_heat_error e)
 
@@ -81,7 +92,7 @@ let rec alloc t =
     alloc t
   end
   else if t.used_in_line >= data_per_line t then begin
-    if t.eager_heat then heat_line t t.current_line;
+    let* () = if t.eager_heat then heat_line t t.current_line else Ok () in
     t.current_line <- t.current_line + 1;
     t.used_in_line <- 0;
     alloc t
@@ -138,8 +149,6 @@ let reindex dev =
      done
    with Stop -> ());
   Ok t
-
-let ( let* ) = Result.bind
 
 let put t content =
   if String.length content > max_block then
@@ -319,9 +328,11 @@ let snapshot t ~label files =
   in
   let* root = put_stream t (encode_catalogue (List.rev catalogue)) in
   (* The root's line must be burned now, even if not yet full. *)
-  (match line_of_score t root with
-  | Some line -> heat_line t line
-  | None -> ());
+  let* () =
+    match line_of_score t root with
+    | Some line -> heat_line t line
+    | None -> Ok ()
+  in
   Ok { label; root; taken_at = Probe.Pdevice.elapsed (Sero.Device.pdevice t.dev) }
 
 let restore t snap =

@@ -35,8 +35,9 @@ val put : t -> string -> (score, string) result
 (** Store a block of at most 510 bytes (the 512-byte sector payload
     minus the length header; longer inputs are an error — the client
     chunks, see {!put_stream}).  Returns its score, or [Error] once the
-    arena has no line left.  Duplicate content dedupes to the same score
-    and PBA. *)
+    arena has no line left or when the eager heat of a full line fails
+    (its padding write is refused or its burn does not verify).
+    Duplicate content dedupes to the same score and PBA. *)
 
 val get : t -> score -> (string, string) result
 (** Retrieve by score; verifies the content against the score. *)
@@ -63,7 +64,8 @@ val snapshot : t -> label:string -> (string * string) list -> (snapshot, string)
     becomes a stream, the catalogue of (name, root) pairs becomes the
     snapshot block, and its score is the snapshot root.  The line
     holding the root is heated immediately, whatever [eager_heat] says:
-    the root is what must be tamper-evident. *)
+    the root is what must be tamper-evident.  A failed heat is an
+    [Error], as in {!put}. *)
 
 val restore : t -> snapshot -> ((string * string) list, string) result
 (** Read back and verify the full contents of a snapshot. *)

@@ -6,12 +6,7 @@ let qtest = QCheck_alcotest.to_alcotest
 
 let make_dev ?(n_blocks = 128) ?(ras = false) () =
   let c = Sero.Device.default_config ~n_blocks ~line_exp:3 () in
-  Sero.Device.create
-    {
-      c with
-      Sero.Device.ras =
-        (if ras then Sero.Device.active_ras else Sero.Device.default_ras);
-    }
+  Sero.Device.create { c with Sero.Device.ras }
 
 let fill_line dev line =
   List.iteri

@@ -350,7 +350,7 @@ let whole_device_cases =
     Alcotest.test_case "pp_stats covers the RAS counters" `Quick (fun () ->
         let c = Sero.Device.default_config ~n_blocks:128 ~line_exp:3 () in
         let dev =
-          Sero.Device.create { c with Sero.Device.ras = Sero.Device.active_ras }
+          Sero.Device.create { c with Sero.Device.ras = true }
         in
         fill_line dev 2;
         let inj =
@@ -477,7 +477,8 @@ let image_cases =
             | Error e -> Alcotest.(check string) "short" "image too short" e
             | Ok _ -> Alcotest.fail "8-byte image accepted");
             (* A wrong magic under a *valid* CRC must fail the parse,
-               not the checksum — the retired SEROIMG3 layout included. *)
+               not the checksum — the retired SEROIMG3 and SEROIMG4
+               layouts included. *)
             List.iter
               (fun magic ->
                 let b = Bytes.of_string data in
@@ -496,7 +497,7 @@ let image_cases =
                 match Sero.Image.load path with
                 | Error e -> Alcotest.(check string) magic "bad magic" e
                 | Ok _ -> Alcotest.failf "%s image accepted" magic)
-              [ "XXROIMG9"; "SEROIMG3" ]));
+              [ "XXROIMG9"; "SEROIMG3"; "SEROIMG4" ]));
     Alcotest.test_case "bad geometry under a valid CRC is an Error" `Quick
       (fun () ->
         let dev = make_dev ~n_blocks:32 () in
@@ -506,8 +507,8 @@ let image_cases =
           (fun () ->
             Sero.Image.save dev path;
             let data = In_channel.with_open_bin path In_channel.input_all in
-            (* Header offsets: line_exp is the u8 at 12, n_tips the
-               big-endian u16 at 13. *)
+            (* Header offsets: line_exp is the u8 at 12, the endurance
+               spare-line count the big-endian u16 at 60. *)
             List.iter
               (fun (what, patches, want) ->
                 let b = Bytes.of_string data in
@@ -529,8 +530,8 @@ let image_cases =
                   "Layout.create: line_exp must be in 1..20" );
                 ( "line_exp 9 on 32 blocks", [ (12, 9) ],
                   "Layout.create: n_blocks must be a positive multiple of 2^N" );
-                ( "n_tips 0", [ (13, 0); (14, 0) ],
-                  "Tips.create: n_tips must be positive" );
+                ( "4 spare lines of 4", [ (60, 0); (61, 4) ],
+                  "Layout.create: spare_lines must be in 0..n_lines-1" );
               ]));
   ]
   @
@@ -1048,7 +1049,6 @@ let make_edev ?(n_blocks = 128) ?(line_exp = 3) ?(spare_lines = 4)
         {
           Sero.Device.health_enabled;
           spare_lines;
-          ewma_alpha = 0.4;
           retire_margin;
         };
     }
@@ -1236,7 +1236,7 @@ let endurance_cases =
         let dev = make_dev () in
         let des = Sim.Des.create () in
         let q =
-          Sero.Queue.create ~read_retry_limit:3 ~retry_backoff:1e-4 des dev
+          Sero.Queue.create ~read_retry_limit:3 des dev
         in
         let got = ref None in
         (* A blank PBA fails deterministically on every attempt. *)
@@ -1255,7 +1255,7 @@ let endurance_cases =
         Sero.Queue.drain q;
         Alcotest.(check bool) "good read ok" true !ok;
         Alcotest.(check int) "no extra retries" 2 (Sero.Queue.retried_reads q));
-    Alcotest.test_case "image v4 roundtrips endurance state" `Quick (fun () ->
+    Alcotest.test_case "image v5 roundtrips endurance state" `Quick (fun () ->
         let dev = make_edev () in
         fill_line dev 2;
         ignore (heat_ok dev 2);
@@ -1377,7 +1377,6 @@ let endurance_twin =
               {
                 Sero.Device.health_enabled;
                 spare_lines;
-                ewma_alpha = 0.4;
                 retire_margin = 0.5;
               };
           }

@@ -42,6 +42,30 @@ let basic_cases =
         match Venti.put_stream v (String.make 2000 'x') with
         | Error _ -> ()
         | Ok _ -> Alcotest.fail "stream stored into a full arena");
+    Alcotest.test_case "a failed heat is an error, not an exception" `Quick
+      (fun () ->
+        (* Every ewb pulse underpowered: no burn can verify. *)
+        let weak v =
+          Sero.Device.install_fault (Venti.device v)
+            (Fault.Injector.create (Fault.Plan.make ~seed:1 ~weak_ewb_p:1.0 ()))
+        in
+        let v = make ~n_blocks:64 () in
+        weak v;
+        let rec fill i =
+          if i > 7 then Alcotest.fail "a line filled without a heat"
+          else
+            match Venti.put v (Printf.sprintf "block %d" i) with
+            | Ok _ -> fill (i + 1)
+            | Error e -> (i, e)
+        in
+        let i, e = fill 0 in
+        Alcotest.(check int) "the put after a full line" 7 i;
+        Alcotest.(check string) "error" "venti: heat of line 0 failed: burn verification failed" e;
+        let lazy_v = make ~n_blocks:64 ~eager_heat:false () in
+        weak lazy_v;
+        match Venti.snapshot lazy_v ~label:"s" [ ("f", "data") ] with
+        | Error _ -> ()
+        | Ok _ -> Alcotest.fail "snapshot root left unheated");
     Alcotest.test_case "mem reflects storage" `Quick (fun () ->
         let v = make () in
         let s = ok "put" (Venti.put v "x") in
